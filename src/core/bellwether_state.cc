@@ -1,14 +1,13 @@
 #include "core/bellwether_state.h"
 
 #include <algorithm>
-#include <istream>
 #include <limits>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/checksummed_io.h"
 #include "core/eval_util.h"
 #include "core/model_io.h"
 #include "core/search_internal.h"
@@ -27,10 +26,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Bound on serialized counts (mask entries, retained rows per region), in
-// line with the other model_io sections: a corrupt count fails cleanly
-// instead of turning into a gigantic allocation.
-constexpr int64_t kMaxStateCount = int64_t{1} << 26;
+// Smallest encoding of one region in the state file: id, touched count,
+// and the header of an empty rows record. Bounds the region count by the
+// bytes left before the loader trusts it.
+constexpr uint64_t kMinRegionBytes = 8 + 8 + (8 + 4 + 8 + 1);
 
 using regression::RegressionSuffStats;
 using storage::RegionTrainingSet;
@@ -42,8 +41,6 @@ struct StateMetrics {
   obs::Counter* delta_rows;
   obs::Counter* rederived;
   obs::Counter* reused;
-  obs::Counter* saves;
-  obs::Counter* opens;
 };
 
 const StateMetrics& Metrics() {
@@ -51,9 +48,7 @@ const StateMetrics& Metrics() {
       obs::DefaultMetrics().GetCounter(obs::kMStateDeltaBatches),
       obs::DefaultMetrics().GetCounter(obs::kMStateDeltaRows),
       obs::DefaultMetrics().GetCounter(obs::kMStateCellsRederived),
-      obs::DefaultMetrics().GetCounter(obs::kMStateCellsReused),
-      obs::DefaultMetrics().GetCounter(obs::kMStateSaves),
-      obs::DefaultMetrics().GetCounter(obs::kMStateOpens)};
+      obs::DefaultMetrics().GetCounter(obs::kMStateCellsReused)};
   return m;
 }
 
@@ -692,9 +687,7 @@ Result<BasicSearchResult> BellwetherState::FinalizeSearch(
 }
 
 Status BellwetherState::Save(const std::string& path) const {
-  BW_RETURN_IF_ERROR(SaveBellwetherState(*this, path));
-  Metrics().saves->Increment(1);
-  return Status::OK();
+  return SaveBellwetherState(*this, path);
 }
 
 Result<std::unique_ptr<BellwetherState>> BellwetherState::Open(
@@ -702,120 +695,92 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::Open(
   return LoadBellwetherState(path, std::move(subsets));
 }
 
-Status BellwetherState::SerializeTo(std::ostream& out) const {
+// Body layout (raw little-endian; DESIGN.md "State file"):
+//   header   fingerprint, config, mask, num_features, delta_batches, regions
+//   region   id, touched count, then per touched statistic its slot index
+//            and the regression/suff_stats_io.h encoding
+//   rows     the region's retained rows as one spill-file record
+//            (storage::WriteRegionRecord, RegionTrainingSet::ByteSize bytes)
+Status BellwetherState::SerializeTo(ChecksummedWriter& out) const {
   if (!options_.incremental) {
     return Status::FailedPrecondition(
         "only incremental states are persistable");
   }
   const CubeBuildConfig& c = options_.config;
-  out << "fingerprint " << fingerprint_ << "\n";
-  out << "config " << c.min_subset_size << ' ' << c.min_examples_per_model
-      << ' ' << (c.compute_cv_stats ? 1 : 0) << ' ' << c.cv_folds << ' '
-      << c.seed << "\n";
-  out << "mask " << (has_mask_ ? 1 : 0);
+  out.Put(fingerprint_);
+  out.Put(c.min_subset_size);
+  out.Put(c.min_examples_per_model);
+  out.Put(static_cast<uint8_t>(c.compute_cv_stats ? 1 : 0));
+  out.Put(c.cv_folds);
+  out.Put(c.seed);
+  out.Put(static_cast<uint8_t>(has_mask_ ? 1 : 0));
   if (has_mask_) {
-    out << ' ' << item_mask_.size();
-    for (uint8_t m : item_mask_) out << ' ' << (m != 0 ? 1 : 0);
+    out.Put(static_cast<int64_t>(item_mask_.size()));
+    out.PutArray(item_mask_.data(), item_mask_.size());
   }
-  out << "\n";
-  out << "num_features " << num_features_ << "\n";
-  out << "delta_batches " << delta_batches_ << "\n";
-  out << "regions " << slots_.size() << "\n";
+  out.Put(num_features_);
+  out.Put(delta_batches_);
+  out.Put(static_cast<int64_t>(slots_.size()));
+  // Injected failure partway through the body: the save must keep the
+  // previous file (common/atomic_file.h).
+  BW_RETURN_IF_ERROR(robust::MaybeInjectIo(robust::kFaultArtifactWrite));
   for (const auto& [region, slot] : slots_) {
     // Only touched accumulators hit the wire (arity 0 marks untouched); the
     // dense remainder is reconstructed on load. Errors are not persisted —
     // they are recomputed from the statistics, which is deterministic.
-    std::vector<int32_t> touched;
-    for (size_t k = 0; k < slot.stats.size(); ++k) {
-      if (slot.stats[k].num_features() != 0) {
-        touched.push_back(static_cast<int32_t>(k));
-      }
+    int64_t touched = 0;
+    for (const RegressionSuffStats& s : slot.stats) {
+      if (s.num_features() != 0) ++touched;
     }
-    out << "region " << region << ' ' << touched.size() << "\n";
-    for (int32_t k : touched) {
-      out << "slot " << k << "\n";
+    out.Put(region);
+    out.Put(touched);
+    for (size_t k = 0; k < slot.stats.size(); ++k) {
+      if (slot.stats[k].num_features() == 0) continue;
+      out.Put(static_cast<int32_t>(k));
       regression::WriteSuffStats(out, slot.stats[k]);
     }
-    const RegionTrainingSet& rows = slot.rows;
-    out << "rows " << rows.num_examples() << ' ' << (rows.weighted() ? 1 : 0)
-        << "\n";
-    out << "items";
-    for (int32_t item : rows.items) out << ' ' << item;
-    out << "\n";
-    out << "features";
-    for (double v : rows.features) {
-      out << ' ';
-      regression::WriteWireDouble(out, v);
-    }
-    out << "\n";
-    out << "targets";
-    for (double v : rows.targets) {
-      out << ' ';
-      regression::WriteWireDouble(out, v);
-    }
-    out << "\n";
-    if (rows.weighted()) {
-      out << "weights";
-      for (double v : rows.weights) {
-        out << ' ';
-        regression::WriteWireDouble(out, v);
-      }
-      out << "\n";
-    }
+    storage::WriteRegionRecord(out, slot.rows);
   }
-  out << "end\n";
-  if (!out) return Status::IoError("state write failed");
   return Status::OK();
 }
 
 Result<std::unique_ptr<BellwetherState>> BellwetherState::DeserializeFrom(
-    std::istream& in, std::shared_ptr<const ItemSubsetSpace> subsets) {
-  std::string tag;
+    ChecksummedReader& in, std::shared_ptr<const ItemSubsetSpace> subsets) {
   uint64_t stored_fp = 0;
-  if (!(in >> tag >> stored_fp) || tag != "fingerprint") {
-    return Status::IoError("truncated state (fingerprint)");
-  }
   Options options;  // incremental, report_name "cube_state"
   CubeBuildConfig& c = options.config;
-  int cv = 0;
-  if (!(in >> tag >> c.min_subset_size >> c.min_examples_per_model >> cv >>
-        c.cv_folds >> c.seed) ||
-      tag != "config") {
-    return Status::IoError("truncated state (config)");
-  }
+  uint8_t cv = 0;
+  uint8_t has_mask = 0;
+  BW_RETURN_IF_ERROR(in.Get(&stored_fp));
+  BW_RETURN_IF_ERROR(in.Get(&c.min_subset_size));
+  BW_RETURN_IF_ERROR(in.Get(&c.min_examples_per_model));
+  BW_RETURN_IF_ERROR(in.Get(&cv));
+  BW_RETURN_IF_ERROR(in.Get(&c.cv_folds));
+  BW_RETURN_IF_ERROR(in.Get(&c.seed));
+  BW_RETURN_IF_ERROR(in.Get(&has_mask));
   c.compute_cv_stats = cv != 0;
-  int has_mask = 0;
-  if (!(in >> tag >> has_mask) || tag != "mask") {
-    return Status::IoError("truncated state (mask)");
-  }
   std::vector<uint8_t> mask;
   if (has_mask != 0) {
     int64_t n = 0;
-    if (!(in >> n) || n < 0 || n > kMaxStateCount) {
-      return Status::IoError("implausible mask size in state");
-    }
-    mask.resize(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      int v = 0;
-      if (!(in >> v)) return Status::IoError("truncated state (mask bits)");
-      mask[i] = v != 0 ? 1 : 0;
-    }
+    BW_RETURN_IF_ERROR(in.Get(&n));
+    if (n < 0) return Status::IoError("implausible mask size in state");
+    BW_RETURN_IF_ERROR(in.GetVector(&mask, static_cast<uint64_t>(n)));
   }
   int32_t num_features = 0;
-  if (!(in >> tag >> num_features) || tag != "num_features" ||
-      num_features < 0 || num_features > 4096) {
+  int64_t delta_batches = 0;
+  int64_t num_regions = 0;
+  BW_RETURN_IF_ERROR(in.Get(&num_features));
+  BW_RETURN_IF_ERROR(in.Get(&delta_batches));
+  BW_RETURN_IF_ERROR(in.Get(&num_regions));
+  if (num_features < 0 || num_features > 4096) {
     return Status::IoError("bad state num_features");
   }
-  int64_t delta_batches = 0;
-  if (!(in >> tag >> delta_batches) || tag != "delta_batches" ||
-      delta_batches < 0) {
-    return Status::IoError("bad state delta_batches");
-  }
-  int64_t num_regions = 0;
-  if (!(in >> tag >> num_regions) || tag != "regions" || num_regions < 0 ||
-      num_regions > kMaxStateCount) {
+  if (delta_batches < 0) return Status::IoError("bad state delta_batches");
+  if (num_regions < 0) {
     return Status::IoError("implausible region count in state");
   }
+  BW_RETURN_IF_ERROR(
+      in.CheckFits(static_cast<uint64_t>(num_regions), kMinRegionBytes));
   BW_ASSIGN_OR_RETURN(
       std::unique_ptr<BellwetherState> state,
       Init(std::move(subsets), std::move(options),
@@ -833,9 +798,8 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::DeserializeFrom(
   for (int64_t i = 0; i < num_regions; ++i) {
     olap::RegionId region = olap::kInvalidRegion;
     int64_t nonempty = 0;
-    if (!(in >> tag >> region >> nonempty) || tag != "region") {
-      return Status::IoError("truncated state (region header)");
-    }
+    BW_RETURN_IF_ERROR(in.Get(&region));
+    BW_RETURN_IF_ERROR(in.Get(&nonempty));
     if (region < 0 || region <= prev_region) {
       return Status::IoError("state regions out of order");
     }
@@ -844,12 +808,10 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::DeserializeFrom(
       return Status::IoError("implausible slot count in state");
     }
     RegionSlot& slot = state->SlotFor(region, num_features);
-    int64_t prev_k = -1;
+    int32_t prev_k = -1;
     for (int64_t j = 0; j < nonempty; ++j) {
-      int64_t k = -1;
-      if (!(in >> tag >> k) || tag != "slot") {
-        return Status::IoError("truncated state (slot header)");
-      }
+      int32_t k = -1;
+      BW_RETURN_IF_ERROR(in.Get(&k));
       if (k <= prev_k || k >= nsig) {
         return Status::IoError("state slot index out of range");
       }
@@ -862,57 +824,20 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::DeserializeFrom(
       slot.errors[k] = TrainingErrorOfStats(stats, min_examples);
       slot.stats[k] = std::move(stats);
     }
-    int64_t n = 0;
-    int weighted = 0;
-    if (!(in >> tag >> n >> weighted) || tag != "rows" || n < 0 ||
-        n > kMaxStateCount) {
-      return Status::IoError("implausible row count in state");
-    }
     RegionTrainingSet& rows = slot.rows;
-    if (!(in >> tag) || tag != "items") {
-      return Status::IoError("truncated state (items)");
+    BW_RETURN_IF_ERROR(storage::ReadRegionRecord(in, &rows));
+    if (rows.region != region || rows.num_features != num_features) {
+      return Status::IoError("state retained rows do not match their region");
     }
-    rows.items.resize(static_cast<size_t>(n));
-    for (int64_t r = 0; r < n; ++r) {
-      if (!(in >> rows.items[r])) {
-        return Status::IoError("truncated state (item)");
-      }
-      if (rows.items[r] < 0 || rows.items[r] >= num_items) {
+    for (int32_t item : rows.items) {
+      if (item < 0 || item >= num_items) {
         return Status::IoError("state row item index out of range");
       }
     }
-    if (!(in >> tag) || tag != "features") {
-      return Status::IoError("truncated state (features)");
-    }
-    rows.features.resize(static_cast<size_t>(n) *
-                         static_cast<size_t>(num_features));
-    for (double& v : rows.features) {
-      BW_RETURN_IF_ERROR(regression::ReadWireDouble(in, &v));
-    }
-    if (!(in >> tag) || tag != "targets") {
-      return Status::IoError("truncated state (targets)");
-    }
-    rows.targets.resize(static_cast<size_t>(n));
-    for (double& v : rows.targets) {
-      BW_RETURN_IF_ERROR(regression::ReadWireDouble(in, &v));
-    }
-    if (weighted != 0) {
-      if (!(in >> tag) || tag != "weights") {
-        return Status::IoError("truncated state (weights)");
-      }
-      rows.weights.resize(static_cast<size_t>(n));
-      for (double& v : rows.weights) {
-        BW_RETURN_IF_ERROR(regression::ReadWireDouble(in, &v));
-      }
-    }
-  }
-  if (!(in >> tag) || tag != "end") {
-    return Status::IoError("truncated state (missing end)");
   }
   // A reopened state re-derives every cell on its first Finalize
   // (finalized_once_ is false), which is deterministic from the restored
   // statistics and rows — so kill/reopen converges bit for bit.
-  Metrics().opens->Increment(1);
   return state;
 }
 

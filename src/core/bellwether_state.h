@@ -2,7 +2,6 @@
 #define BELLWETHER_CORE_BELLWETHER_STATE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
@@ -16,6 +15,11 @@
 #include "olap/dirty.h"
 #include "storage/training_data.h"
 #include "storage/training_data_sink.h"
+
+namespace bellwether {
+class ChecksummedReader;
+class ChecksummedWriter;
+}  // namespace bellwether
 
 namespace bellwether::core {
 
@@ -41,10 +45,11 @@ namespace bellwether::core {
 /// remainder.
 ///
 /// Incremental states persist via model_io (SaveBellwetherState /
-/// LoadBellwetherState, format "bellwether-state-v3"): packed-triangle
-/// suff-stats and retained rows on the wire, per-cell errors recomputed on
-/// load. A reopened state re-derives every cell on its first Finalize, so
-/// kill/reopen/re-apply converges to the same artifacts.
+/// LoadBellwetherState, format "bellwether-state-v4"): packed-triangle
+/// suff-stats and retained rows as raw doubles under a CRC-32C trailer,
+/// per-cell errors recomputed on load. A reopened state re-derives every
+/// cell on its first Finalize, so kill/reopen/re-apply converges to the
+/// same artifacts.
 ///
 /// Not thread-safe: one logical owner drives the phase sequence (ApplyDelta
 /// parallelizes internally and merges in submission order). An ApplyDelta
@@ -107,8 +112,8 @@ class BellwetherState {
   /// region or a change of scoring options.
   Result<BasicSearchResult> FinalizeSearch(const BasicSearchOptions& options);
 
-  /// Persists an incremental state (model_io, "bellwether-state-v3");
-  /// atomic tmp + rename.
+  /// Persists an incremental state (SaveBellwetherState,
+  /// "bellwether-state-v4"); the previous file is replaced atomically.
   Status Save(const std::string& path) const;
 
   /// Reopens a saved incremental state against the recreated subset space.
@@ -118,10 +123,12 @@ class BellwetherState {
   static Result<std::unique_ptr<BellwetherState>> Open(
       const std::string& path, std::shared_ptr<const ItemSubsetSpace> subsets);
 
-  /// Wire-format body (everything but the magic line); used by model_io.
-  Status SerializeTo(std::ostream& out) const;
+  /// Binary body of the state file (inside the checksummed framing); used
+  /// by model_io. DeserializeFrom keeps every structural check of the
+  /// format and bounds each count by the bytes left before it allocates.
+  Status SerializeTo(ChecksummedWriter& out) const;
   static Result<std::unique_ptr<BellwetherState>> DeserializeFrom(
-      std::istream& in, std::shared_ptr<const ItemSubsetSpace> subsets);
+      ChecksummedReader& in, std::shared_ptr<const ItemSubsetSpace> subsets);
 
   /// Identity of this state: subset space shape, pick-relevant config, and
   /// item mask. Persisted and verified on Open.

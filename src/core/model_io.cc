@@ -3,12 +3,12 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 
-#include "common/string_util.h"
+#include "common/atomic_file.h"
+#include "common/checksummed_io.h"
 #include "core/bellwether_state.h"
+#include "obs/metrics.h"
 
 namespace bellwether::core {
 
@@ -17,7 +17,7 @@ namespace {
 constexpr const char* kLinearMagic = "bellwether-linear-v1";
 constexpr const char* kTreeMagic = "bellwether-tree-v2";
 constexpr const char* kCubeMagic = "bellwether-cube-v2";
-constexpr const char* kStateMagic = "bellwether-state-v3";
+constexpr const char* kStateMagic = "bellwether-state-v4";
 
 // Sanity bound on serialized counts (vector lengths, node/cell counts): a
 // corrupt or hostile length field must fail cleanly, not turn into a
@@ -76,51 +76,21 @@ Result<regression::FitDegradation> ReadDegradation(std::istream& in) {
   return static_cast<regression::FitDegradation>(d);
 }
 
-Result<std::ofstream> OpenForWrite(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::IoError("cannot write " + path + ": " +
-                           std::strerror(errno));
-  }
-  return out;
-}
-
-// Distinguishes "a bellwether artifact of the wrong kind or version"
-// (kFailedPrecondition — the caller picked the wrong loader or the file
-// predates the current format) from "not one of our files at all"
-// (kInvalidArgument).
-Status CheckMagic(std::istream& in, const char* magic,
-                  const std::string& path) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::IoError(path + ": empty file, expected " +
-                           std::string(magic));
-  }
-  if (line == magic) return Status::OK();
-  if (line.rfind("bellwether-", 0) == 0) {
-    return Status::FailedPrecondition(path + ": format '" + line +
-                                      "' does not match expected '" + magic +
-                                      "'");
-  }
-  return Status::InvalidArgument(path + ": not a " + magic + " file");
-}
-
 }  // namespace
 
 Status SaveLinearModel(const regression::LinearModel& model,
                        olap::RegionId region, const std::string& path) {
-  BW_ASSIGN_OR_RETURN(std::ofstream out, OpenForWrite(path));
-  out << kLinearMagic << '\n' << region << '\n';
-  WriteVector(out, model.beta());
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
+  return WriteFileAtomically(path, [&](std::ostream& out) -> Status {
+    out << kLinearMagic << '\n' << region << '\n';
+    WriteVector(out, model.beta());
+    return Status::OK();
+  });
 }
 
 Result<LoadedLinearModel> LoadLinearModel(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot read " + path);
-  BW_RETURN_IF_ERROR(CheckMagic(in, kLinearMagic, path));
+  BW_RETURN_IF_ERROR(CheckMagicLine(in, kLinearMagic, path));
   LoadedLinearModel out;
   int64_t region = 0;
   if (!(in >> region)) return Status::IoError("missing region id");
@@ -132,41 +102,40 @@ Result<LoadedLinearModel> LoadLinearModel(const std::string& path) {
 
 Status SaveBellwetherTree(const BellwetherTree& tree,
                           const std::string& path) {
-  BW_ASSIGN_OR_RETURN(std::ofstream out, OpenForWrite(path));
-  out << kTreeMagic << '\n';
-  // Split-column names, for validation at load time.
-  const ItemSplitFeatures& feats = tree.features();
-  out << feats.num_columns() << '\n';
-  for (size_t c = 0; c < feats.num_columns(); ++c) {
-    out << feats.ColumnName(c) << '\n';
-  }
-  out << tree.nodes().size() << '\n';
-  for (const TreeNode& n : tree.nodes()) {
-    out << n.depth << ' ' << n.num_items << ' ' << (n.has_model ? 1 : 0)
-        << ' ' << n.region << ' ' << static_cast<int>(n.degradation) << ' ';
-    WriteDouble(out, n.error);
-    out << ' ';
-    WriteDouble(out, n.goodness);
-    out << '\n';
-    WriteVector(out, n.model.beta());
-    // Split: column is_numeric threshold num_partitions, then children.
-    out << n.split.column << ' ' << (n.split.is_numeric ? 1 : 0) << ' ';
-    WriteDouble(out, n.split.threshold);
-    out << ' ' << n.split.num_partitions << '\n';
-    out << n.children.size();
-    for (int32_t c : n.children) out << ' ' << c;
-    out << '\n';
-  }
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
+  return WriteFileAtomically(path, [&](std::ostream& out) -> Status {
+    out << kTreeMagic << '\n';
+    // Split-column names, for validation at load time.
+    const ItemSplitFeatures& feats = tree.features();
+    out << feats.num_columns() << '\n';
+    for (size_t c = 0; c < feats.num_columns(); ++c) {
+      out << feats.ColumnName(c) << '\n';
+    }
+    out << tree.nodes().size() << '\n';
+    for (const TreeNode& n : tree.nodes()) {
+      out << n.depth << ' ' << n.num_items << ' ' << (n.has_model ? 1 : 0)
+          << ' ' << n.region << ' ' << static_cast<int>(n.degradation) << ' ';
+      WriteDouble(out, n.error);
+      out << ' ';
+      WriteDouble(out, n.goodness);
+      out << '\n';
+      WriteVector(out, n.model.beta());
+      // Split: column is_numeric threshold num_partitions, then children.
+      out << n.split.column << ' ' << (n.split.is_numeric ? 1 : 0) << ' ';
+      WriteDouble(out, n.split.threshold);
+      out << ' ' << n.split.num_partitions << '\n';
+      out << n.children.size();
+      for (int32_t c : n.children) out << ' ' << c;
+      out << '\n';
+    }
+    return Status::OK();
+  });
 }
 
 Result<BellwetherTree> LoadBellwetherTree(const std::string& path,
                                           const table::Table& item_table) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot read " + path);
-  BW_RETURN_IF_ERROR(CheckMagic(in, kTreeMagic, path));
+  BW_RETURN_IF_ERROR(CheckMagicLine(in, kTreeMagic, path));
   int64_t num_columns = 0;
   if (!(in >> num_columns) || num_columns < 0 || num_columns > kMaxCount) {
     return Status::IoError("missing or implausible column count");
@@ -223,25 +192,24 @@ Result<BellwetherTree> LoadBellwetherTree(const std::string& path,
 
 Status SaveBellwetherCube(const BellwetherCube& cube,
                           const std::string& path) {
-  BW_ASSIGN_OR_RETURN(std::ofstream out, OpenForWrite(path));
-  out << kCubeMagic << '\n';
-  out << cube.subsets().NumSubsets() << ' ' << cube.cells().size() << '\n';
-  for (const CubeCell& cell : cube.cells()) {
-    out << cell.subset << ' ' << cell.subset_size << ' '
-        << (cell.has_model ? 1 : 0) << ' ' << cell.region << ' '
-        << static_cast<int>(cell.degradation) << ' '
-        << (cell.fallback_pick ? 1 : 0) << ' ';
-    WriteDouble(out, cell.error);
-    out << ' ' << (cell.has_cv ? 1 : 0) << ' ';
-    WriteDouble(out, cell.cv.rmse);
-    out << ' ';
-    WriteDouble(out, cell.cv.stddev);
-    out << ' ' << cell.cv.num_folds << '\n';
-    WriteVector(out, cell.model.beta());
-  }
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
+  return WriteFileAtomically(path, [&](std::ostream& out) -> Status {
+    out << kCubeMagic << '\n';
+    out << cube.subsets().NumSubsets() << ' ' << cube.cells().size() << '\n';
+    for (const CubeCell& cell : cube.cells()) {
+      out << cell.subset << ' ' << cell.subset_size << ' '
+          << (cell.has_model ? 1 : 0) << ' ' << cell.region << ' '
+          << static_cast<int>(cell.degradation) << ' '
+          << (cell.fallback_pick ? 1 : 0) << ' ';
+      WriteDouble(out, cell.error);
+      out << ' ' << (cell.has_cv ? 1 : 0) << ' ';
+      WriteDouble(out, cell.cv.rmse);
+      out << ' ';
+      WriteDouble(out, cell.cv.stddev);
+      out << ' ' << cell.cv.num_folds << '\n';
+      WriteVector(out, cell.model.beta());
+    }
+    return Status::OK();
+  });
 }
 
 Result<BellwetherCube> LoadBellwetherCube(
@@ -249,7 +217,7 @@ Result<BellwetherCube> LoadBellwetherCube(
     std::shared_ptr<const ItemSubsetSpace> subsets) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot read " + path);
-  BW_RETURN_IF_ERROR(CheckMagic(in, kCubeMagic, path));
+  BW_RETURN_IF_ERROR(CheckMagicLine(in, kCubeMagic, path));
   int64_t num_subsets = 0;
   int64_t num_cells = 0;
   if (!(in >> num_subsets >> num_cells)) {
@@ -300,30 +268,24 @@ Result<BellwetherCube> LoadBellwetherCube(
 
 Status SaveBellwetherState(const BellwetherState& state,
                            const std::string& path) {
-  // Saves happen repeatedly over an open state's lifetime (batch-boundary
-  // durability), so the write is atomic: a crash mid-save leaves the
-  // previous good file in place.
-  const std::string tmp = path + ".tmp";
-  {
-    BW_ASSIGN_OR_RETURN(std::ofstream out, OpenForWrite(tmp));
-    out << kStateMagic << '\n';
-    BW_RETURN_IF_ERROR(state.SerializeTo(out));
-    out.flush();
-    if (!out) return Status::IoError("write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("cannot rename " + tmp + " to " + path + ": " +
-                           std::strerror(errno));
-  }
+  BW_RETURN_IF_ERROR(WriteChecksummedFile(
+      path, kStateMagic,
+      [&](ChecksummedWriter& out) { return state.SerializeTo(out); }));
+  obs::DefaultMetrics().GetCounter(obs::kMStateSaves)->Increment(1);
   return Status::OK();
 }
 
 Result<std::unique_ptr<BellwetherState>> LoadBellwetherState(
     const std::string& path, std::shared_ptr<const ItemSubsetSpace> subsets) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot read " + path);
-  BW_RETURN_IF_ERROR(CheckMagic(in, kStateMagic, path));
-  return BellwetherState::DeserializeFrom(in, std::move(subsets));
+  std::unique_ptr<BellwetherState> state;
+  BW_RETURN_IF_ERROR(ReadChecksummedFile(
+      path, kStateMagic, [&](ChecksummedReader& in) -> Status {
+        BW_ASSIGN_OR_RETURN(
+            state, BellwetherState::DeserializeFrom(in, std::move(subsets)));
+        return Status::OK();
+      }));
+  obs::DefaultMetrics().GetCounter(obs::kMStateOpens)->Increment(1);
+  return state;
 }
 
 }  // namespace bellwether::core

@@ -13,8 +13,11 @@ namespace bellwether::core {
 
 /// Serialization of fitted bellwether artifacts, so analysis (expensive,
 /// over the historical warehouse) and prediction (cheap, per new item) can
-/// run in separate processes. The format is a line-oriented text format:
-/// human-inspectable, versioned, and stable across platforms.
+/// run in separate processes. Models, trees and cubes use a line-oriented
+/// text format: human-inspectable, versioned, and stable across platforms.
+/// The incremental state, which holds every retained row, uses a
+/// CRC-checked binary body instead (common/checksummed_io.h). Every writer
+/// replaces its file atomically (common/atomic_file.h).
 
 /// ---- Linear (bellwether) models ----
 
@@ -59,15 +62,19 @@ Result<BellwetherCube> LoadBellwetherCube(
 
 class BellwetherState;
 
-/// Writes an open incremental BellwetherState (packed-triangle sufficient
-/// statistics plus retained per-region rows) atomically — tmp file, then
-/// rename — so a crash mid-save never clobbers the previous good state.
+/// Writes an open incremental BellwetherState ("bellwether-state-v4":
+/// packed-triangle sufficient statistics plus retained per-region rows, as
+/// raw doubles under a CRC-32C trailer) atomically, so a crash mid-save
+/// never clobbers the previous good state. Counts
+/// bellwether_state_saves_total.
 Status SaveBellwetherState(const BellwetherState& state,
                            const std::string& path);
 
 /// Reopens a state saved by SaveBellwetherState against the recreated
 /// subset space. The stored fingerprint must match the one recomputed from
-/// the space, config, and mask (kFailedPrecondition otherwise).
+/// the space, config, and mask (kFailedPrecondition otherwise); a
+/// truncated or corrupt file, including a checksum mismatch, is kIoError.
+/// Counts bellwether_state_opens_total.
 Result<std::unique_ptr<BellwetherState>> LoadBellwetherState(
     const std::string& path, std::shared_ptr<const ItemSubsetSpace> subsets);
 

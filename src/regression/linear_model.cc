@@ -162,7 +162,8 @@ RegressionSuffStats RegressionSuffStats::FromPacked(size_t p,
                                                     double sum_w) {
   BW_CHECK(packed.size() == PackedSize(p));
   BW_CHECK(xtwy.size() == p);
-  RegressionSuffStats out(p);
+  RegressionSuffStats out;
+  out.p_ = p;
   out.xtwx_packed_ = std::move(packed);
   out.xtwy_ = std::move(xtwy);
   out.ytwy_ = ytwy;

@@ -148,9 +148,8 @@ class RegressionSuffStats {
   /// sqrt(TrainingMse()).
   Result<double> TrainingRmse() const;
 
-  /// Full p x p X'WX, unpacked from the packed triangle (the shim that
-  /// keeps checkpoint/model artifact formats and the linalg solvers
-  /// unchanged). Returns by value — unpack once, not per element.
+  /// Full p x p X'WX, unpacked from the packed triangle for the linalg
+  /// solvers. Returns by value — unpack once, not per element.
   linalg::Matrix xtwx() const;
   /// The packed upper triangle itself (row-major, PackedSize(p) values).
   const std::vector<double>& packed_xtwx() const { return xtwx_packed_; }

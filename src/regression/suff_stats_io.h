@@ -1,39 +1,29 @@
 #ifndef BELLWETHER_REGRESSION_SUFF_STATS_IO_H_
 #define BELLWETHER_REGRESSION_SUFF_STATS_IO_H_
 
-#include <iosfwd>
-
+#include "common/checksummed_io.h"
 #include "common/status.h"
 #include "regression/linear_model.h"
 
 namespace bellwether::regression {
 
-/// Wire format of one RegressionSuffStats on the line-oriented text formats
-/// (cube checkpoints, the bellwether-state model_io section):
+/// Binary wire format of one RegressionSuffStats, shared by the bellwether
+/// state file and the cube checkpoint (common/checksummed_io.h framing):
 ///
-///   stats <p> <n> <sum_w> <ytwy> <packed triangle, p*(p+1)/2 values>
-///         <xtwy, p values>\n
+///   int32 p, int64 n, double sum_w, double ytwy,
+///   double packed[p*(p+1)/2], double xtwy[p]
 ///
-/// The packed upper triangle is written directly — no unpack to a full
-/// p x p matrix and no re-pack on restore — so serialization cost and wire
-/// size are both half of the historical full-matrix encoding. All doubles
-/// go through %.17g and round-trip exactly ("inf"/"-inf"/"nan" included;
-/// reads use strtod because istream rejects them).
+/// The packed upper triangle is copied as raw doubles — no unpack to a full
+/// p x p matrix, no re-pack on restore, and inf/NaN round-trip bit for bit.
 
-/// Doubles round-trip exactly through %.17g.
-void WriteWireDouble(std::ostream& out, double v);
-
-/// Reads one %.17g double; kIoError on truncation or a malformed token.
-Status ReadWireDouble(std::istream& in, double* v);
-
-/// Writes one statistic in the packed wire format (trailing newline).
-void WriteSuffStats(std::ostream& out, const RegressionSuffStats& s);
+/// Writes one statistic.
+void WriteSuffStats(ChecksummedWriter& out, const RegressionSuffStats& s);
 
 /// Reads one statistic. Corruption fails cleanly with kIoError: an
 /// implausible feature arity (p outside [0, 4096]), an implausible or
 /// negative example count (count overflow), or a truncated triangle never
 /// turn into a huge allocation or a bogus statistic.
-Result<RegressionSuffStats> ReadSuffStats(std::istream& in);
+Result<RegressionSuffStats> ReadSuffStats(ChecksummedReader& in);
 
 }  // namespace bellwether::regression
 

@@ -1,103 +1,72 @@
 #include "robust/checkpoint.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-
+#include "common/checksummed_io.h"
 #include "regression/suff_stats_io.h"
+#include "robust/fault_injection.h"
 
 namespace bellwether::robust {
 
 namespace {
 
-// v2: sufficient statistics carry the packed upper triangle directly
-// (regression/suff_stats_io.h) instead of the full p x p matrix — half the
-// wire size, and no unpack/re-pack hop on either side. v1 checkpoints are
-// simply stale (kFailedPrecondition on load) and the build restarts from
-// scratch, which checkpointing is designed to survive anyway.
-constexpr const char* kMagic = "bellwether-cube-checkpoint-v2";
-// Sanity bound on serialized counts; a corrupt length field must not turn
-// into a multi-gigabyte allocation.
-constexpr int64_t kMaxCount = int64_t{1} << 26;
+// v3: a binary body with a CRC-32C trailer (common/checksummed_io.h) on the
+// state file's suff-stats codec. Older checkpoints are simply stale
+// (kFailedPrecondition on load) and the build restarts from scratch, which
+// checkpointing is designed to survive anyway.
+constexpr const char* kMagic = "bellwether-cube-checkpoint-v3";
 
-using regression::ReadWireDouble;
-using regression::WriteWireDouble;
+// Smallest encoding of one pick: error, three int64 fields, and two
+// arity-0 statistics (int32 p, int64 n, two doubles each).
+constexpr uint64_t kMinPickBytes = 4 * 8 + 2 * (4 + 3 * 8);
 
 }  // namespace
 
 Status SaveCubeCheckpoint(const CubeBuildCheckpoint& ckpt,
                           const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) {
-      return Status::IoError("cannot write checkpoint " + tmp + ": " +
-                             std::strerror(errno));
-    }
-    out << kMagic << '\n';
-    out << "fingerprint " << ckpt.fingerprint << '\n';
-    out << "regions_processed " << ckpt.regions_processed << '\n';
-    out << "picks " << ckpt.picks.size() << '\n';
-    for (const PickCheckpoint& pk : ckpt.picks) {
-      out << "pick ";
-      WriteWireDouble(out, pk.error);
-      out << ' ' << pk.region << ' ' << pk.fallback_region << ' '
-          << pk.fallback_examples << '\n';
-      regression::WriteSuffStats(out, pk.stats);
-      regression::WriteSuffStats(out, pk.fallback_stats);
-    }
-    out << "end\n";
-    out.flush();
-    if (!out) return Status::IoError("checkpoint write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("checkpoint rename failed: " +
-                           std::string(std::strerror(errno)));
-  }
-  return Status::OK();
+  return WriteChecksummedFile(
+      path, kMagic, [&](ChecksummedWriter& out) -> Status {
+        out.Put(ckpt.fingerprint);
+        out.Put(ckpt.regions_processed);
+        out.Put(static_cast<int64_t>(ckpt.picks.size()));
+        // Injected failure partway through the body: the save must keep
+        // the previous checkpoint (common/atomic_file.h).
+        BW_RETURN_IF_ERROR(MaybeInjectIo(kFaultArtifactWrite));
+        for (const PickCheckpoint& pk : ckpt.picks) {
+          out.Put(pk.error);
+          out.Put(pk.region);
+          out.Put(pk.fallback_region);
+          out.Put(pk.fallback_examples);
+          regression::WriteSuffStats(out, pk.stats);
+          regression::WriteSuffStats(out, pk.fallback_stats);
+        }
+        return Status::OK();
+      });
 }
 
 Result<CubeBuildCheckpoint> LoadCubeCheckpoint(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot read checkpoint " + path);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::IoError("empty checkpoint " + path);
-  }
-  if (line != kMagic) {
-    return Status::FailedPrecondition(path + ": not a " + std::string(kMagic) +
-                                      " file");
-  }
   CubeBuildCheckpoint ckpt;
-  std::string tag;
-  if (!(in >> tag >> ckpt.fingerprint) || tag != "fingerprint") {
-    return Status::IoError("truncated checkpoint (fingerprint)");
-  }
-  if (!(in >> tag >> ckpt.regions_processed) || tag != "regions_processed" ||
-      ckpt.regions_processed < 0) {
-    return Status::IoError("truncated checkpoint (regions_processed)");
-  }
-  int64_t num_picks = 0;
-  if (!(in >> tag >> num_picks) || tag != "picks" || num_picks < 0 ||
-      num_picks > kMaxCount) {
-    return Status::IoError("truncated checkpoint (pick count)");
-  }
-  ckpt.picks.resize(num_picks);
-  for (PickCheckpoint& pk : ckpt.picks) {
-    if (!(in >> tag) || tag != "pick") {
-      return Status::IoError("truncated checkpoint (pick)");
-    }
-    BW_RETURN_IF_ERROR(ReadWireDouble(in, &pk.error));
-    if (!(in >> pk.region >> pk.fallback_region >> pk.fallback_examples)) {
-      return Status::IoError("truncated checkpoint (pick fields)");
-    }
-    BW_ASSIGN_OR_RETURN(pk.stats, regression::ReadSuffStats(in));
-    BW_ASSIGN_OR_RETURN(pk.fallback_stats, regression::ReadSuffStats(in));
-  }
-  if (!(in >> tag) || tag != "end") {
-    return Status::IoError("truncated checkpoint (missing end marker)");
-  }
+  BW_RETURN_IF_ERROR(ReadChecksummedFile(
+      path, kMagic, [&](ChecksummedReader& in) -> Status {
+        int64_t num_picks = 0;
+        BW_RETURN_IF_ERROR(in.Get(&ckpt.fingerprint));
+        BW_RETURN_IF_ERROR(in.Get(&ckpt.regions_processed));
+        BW_RETURN_IF_ERROR(in.Get(&num_picks));
+        if (ckpt.regions_processed < 0 || num_picks < 0) {
+          return Status::IoError("corrupt checkpoint header");
+        }
+        BW_RETURN_IF_ERROR(
+            in.CheckFits(static_cast<uint64_t>(num_picks), kMinPickBytes));
+        ckpt.picks.resize(static_cast<size_t>(num_picks));
+        for (PickCheckpoint& pk : ckpt.picks) {
+          BW_RETURN_IF_ERROR(in.Get(&pk.error));
+          BW_RETURN_IF_ERROR(in.Get(&pk.region));
+          BW_RETURN_IF_ERROR(in.Get(&pk.fallback_region));
+          BW_RETURN_IF_ERROR(in.Get(&pk.fallback_examples));
+          BW_ASSIGN_OR_RETURN(pk.stats, regression::ReadSuffStats(in));
+          BW_ASSIGN_OR_RETURN(pk.fallback_stats,
+                              regression::ReadSuffStats(in));
+        }
+        return Status::OK();
+      }));
   return ckpt;
 }
 

@@ -44,21 +44,22 @@ struct PickCheckpoint {
 /// Durable mid-scan state of a cube build: after `regions_processed` region
 /// training sets, the per-significant-subset picks. A build resumed from
 /// this state produces output bit-identical to an uninterrupted one (values
-/// round-trip exactly via %.17g).
+/// are stored as raw doubles).
 struct CubeBuildCheckpoint {
   uint64_t fingerprint = 0;
   int64_t regions_processed = 0;
   std::vector<PickCheckpoint> picks;
 };
 
-/// Writes the checkpoint atomically (tmp file + rename), so a crash during
-/// the save never leaves a truncated checkpoint behind.
+/// Writes the checkpoint ("bellwether-cube-checkpoint-v3", a CRC-checked
+/// binary body, common/checksummed_io.h) atomically, so a crash during the
+/// save never leaves a truncated checkpoint behind.
 Status SaveCubeCheckpoint(const CubeBuildCheckpoint& ckpt,
                           const std::string& path);
 
-/// Loads a checkpoint. Truncated or malformed files yield kIoError; a
-/// version-mismatched header yields kFailedPrecondition. Callers must also
-/// verify the fingerprint before resuming.
+/// Loads a checkpoint. Truncated, corrupt, or checksum-mismatched files
+/// yield kIoError; a version-mismatched header yields kFailedPrecondition.
+/// Callers must also verify the fingerprint before resuming.
 Result<CubeBuildCheckpoint> LoadCubeCheckpoint(const std::string& path);
 
 }  // namespace bellwether::robust

@@ -119,6 +119,7 @@ inline constexpr std::string_view kFaultCsvRow = "csv.row";
 inline constexpr std::string_view kFaultDatagenRow = "datagen.row";
 inline constexpr std::string_view kFaultCubeScan = "cube.scan";
 inline constexpr std::string_view kFaultStateDelta = "state.delta";
+inline constexpr std::string_view kFaultArtifactWrite = "artifact.write";
 
 }  // namespace bellwether::robust
 

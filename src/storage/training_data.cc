@@ -7,6 +7,7 @@
 #include <ctime>
 
 #include "common/check.h"
+#include "common/checksummed_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "robust/fault_injection.h"
@@ -36,6 +37,8 @@ const StorageMetrics& Metrics() {
 }
 
 Status WriteRaw(std::FILE* f, const void* data, size_t bytes) {
+  // An empty vector's data() may be null, which fwrite must not receive.
+  if (bytes == 0) return Status::OK();
   if (std::fwrite(data, 1, bytes, f) != bytes) {
     return Status::IoError(std::string("spill write failed: ") +
                            std::strerror(errno));
@@ -87,12 +90,53 @@ size_t RegionTrainingSet::ByteSize() const {
   // num_features int32, count int64, has_weights uint8 — then the items,
   // features, targets, and optional weights arrays). BudgetedSink's memory
   // budget and the IoStats byte counters both rely on this matching what
-  // SpillFileWriter::Append actually writes.
+  // SpillFileWriter::Append (and WriteRegionRecord) actually writes.
   constexpr size_t kHeaderBytes =
       sizeof(int64_t) + sizeof(int32_t) + sizeof(int64_t) + sizeof(uint8_t);
   return kHeaderBytes + items.size() * sizeof(int32_t) +
          features.size() * sizeof(double) + targets.size() * sizeof(double) +
          weights.size() * sizeof(double);
+}
+
+void WriteRegionRecord(ChecksummedWriter& out, const RegionTrainingSet& set) {
+  out.Put(static_cast<int64_t>(set.region));
+  out.Put(set.num_features);
+  out.Put(static_cast<int64_t>(set.num_examples()));
+  out.Put(static_cast<uint8_t>(set.weighted() ? 1 : 0));
+  out.PutArray(set.items.data(), set.items.size());
+  out.PutArray(set.features.data(), set.features.size());
+  out.PutArray(set.targets.data(), set.targets.size());
+  out.PutArray(set.weights.data(), set.weights.size());
+}
+
+Status ReadRegionRecord(ChecksummedReader& in, RegionTrainingSet* set) {
+  int64_t region = 0;
+  int32_t num_features = 0;
+  int64_t n = 0;
+  uint8_t weighted = 0;
+  BW_RETURN_IF_ERROR(in.Get(&region));
+  BW_RETURN_IF_ERROR(in.Get(&num_features));
+  BW_RETURN_IF_ERROR(in.Get(&n));
+  BW_RETURN_IF_ERROR(in.Get(&weighted));
+  if (num_features < 0 || n < 0 || weighted > 1) {
+    return Status::IoError("corrupt region record header");
+  }
+  const uint64_t row_bytes =
+      sizeof(int32_t) +
+      (static_cast<uint64_t>(num_features) + 1 + weighted) * sizeof(double);
+  BW_RETURN_IF_ERROR(in.CheckFits(static_cast<uint64_t>(n), row_bytes));
+  const uint64_t count = static_cast<uint64_t>(n);
+  set->region = region;
+  set->num_features = num_features;
+  BW_RETURN_IF_ERROR(in.GetVector(&set->items, count));
+  BW_RETURN_IF_ERROR(in.GetVector(
+      &set->features, count * static_cast<uint64_t>(num_features)));
+  BW_RETURN_IF_ERROR(in.GetVector(&set->targets, count));
+  if (weighted == 0) {
+    set->weights.clear();
+    return Status::OK();
+  }
+  return in.GetVector(&set->weights, count);
 }
 
 MemoryTrainingData::MemoryTrainingData(std::vector<RegionTrainingSet> sets)
@@ -271,6 +315,7 @@ Status SpilledTrainingData::ReadRecord(size_t index, RegionTrainingSet* out) {
       ReadRaw(file_, read_buffer_.data(), static_cast<size_t>(length)));
   const unsigned char* p = read_buffer_.data();
   const auto consume = [&p](void* dst, size_t bytes) {
+    if (bytes == 0) return;  // an empty vector's data() may be null
     std::memcpy(dst, p, bytes);
     p += bytes;
   };

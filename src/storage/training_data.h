@@ -10,6 +10,11 @@
 #include "common/status.h"
 #include "olap/region.h"
 
+namespace bellwether {
+class ChecksummedReader;
+class ChecksummedWriter;
+}  // namespace bellwether
+
 namespace bellwether::storage {
 
 /// The training set of one feasible region (paper §4.2): one row per item
@@ -37,6 +42,17 @@ struct RegionTrainingSet {
   /// memory budget.
   size_t ByteSize() const;
 };
+
+/// Writes `set` as one spill-file record (exactly ByteSize() bytes) to a
+/// checksummed binary stream; the state file keeps each region's retained
+/// rows in this layout.
+void WriteRegionRecord(ChecksummedWriter& out, const RegionTrainingSet& set);
+
+/// Reads a record written by WriteRegionRecord into `set`, replacing its
+/// contents. kIoError on a corrupt header (negative arity or count, a
+/// weights flag other than 0/1) or a record longer than the bytes left,
+/// checked before any array is sized.
+Status ReadRegionRecord(ChecksummedReader& in, RegionTrainingSet* set);
 
 /// I/O accounting for a training-data source. The scan-based algorithms
 /// (RF tree, single-scan cube) are compared against the naive ones by the

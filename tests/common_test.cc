@@ -2,13 +2,21 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <ostream>
 #include <set>
 #include <thread>
+#include <vector>
 
+#include "common/atomic_file.h"
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "test_util.h"
 
 namespace bellwether {
 namespace {
@@ -218,6 +226,102 @@ TEST(StopwatchTest, RestartDiscardsAccumulatedTime) {
   EXPECT_TRUE(sw.running());
   EXPECT_LT(sw.ElapsedSeconds(), 0.005);
   EXPECT_NEAR(sw.ElapsedMillis(), sw.ElapsedSeconds() * 1e3, 1.0);
+}
+
+TEST(Crc32cTest, BothImplementationsGiveTheStandardCheckValue) {
+  // CRC-32C of "123456789" is 0xE3069283 (RFC 3720, iSCSI).
+  const char kCheck[] = "123456789";
+  EXPECT_EQ(crc32c_internal::Crc32cTable(0, kCheck, 9), 0xE3069283u);
+  EXPECT_EQ(Crc32c(0, kCheck, 9), 0xE3069283u);
+  EXPECT_EQ(Crc32c(0, nullptr, 0), 0u);
+  if (!crc32c_internal::HasHardwareCrc32c()) {
+    GTEST_SKIP() << "host has no SSE4.2 crc32 instruction";
+  }
+  EXPECT_EQ(crc32c_internal::Crc32cHardware(0, kCheck, 9), 0xE3069283u);
+}
+
+TEST(Crc32cTest, HardwareMatchesTableOnRandomLengthsAndAlignments) {
+  if (!crc32c_internal::HasHardwareCrc32c()) {
+    GTEST_SKIP() << "host has no SSE4.2 crc32 instruction";
+  }
+  Rng rng(2006);
+  std::vector<unsigned char> buf(4096 + 16);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.NextUint64());
+  for (int trial = 0; trial < 1000; ++trial) {
+    const size_t offset = rng.NextUint64(16);
+    const size_t len = rng.NextUint64(trial < 100 ? 24 : 4097);
+    const uint32_t crc = static_cast<uint32_t>(rng.NextUint64());
+    ASSERT_EQ(crc32c_internal::Crc32cHardware(crc, buf.data() + offset, len),
+              crc32c_internal::Crc32cTable(crc, buf.data() + offset, len))
+        << "offset " << offset << " length " << len;
+  }
+}
+
+TEST(Crc32cTest, ChunkedExtensionEqualsOneShot) {
+  Rng rng(11);
+  std::vector<unsigned char> buf(1000);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.NextUint64());
+  const uint32_t whole = Crc32c(0, buf.data(), buf.size());
+  for (size_t cut : {size_t{0}, size_t{1}, size_t{7}, size_t{500}, size_t{999}}) {
+    const uint32_t head = Crc32c(0, buf.data(), cut);
+    EXPECT_EQ(Crc32c(head, buf.data() + cut, buf.size() - cut), whole)
+        << "cut " << cut;
+  }
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// Names in `path`'s directory that start with its file name + ".tmp".
+std::vector<std::string> TempSiblings(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp";
+  std::vector<std::string> out;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) out.push_back(name);
+  }
+  return out;
+}
+
+TEST(AtomicFileTest, ReplacesTheFileAndLeavesNoTempFile) {
+  const std::string path = TestTempPath("atomic.txt");
+  for (const char* body : {"first\n", "second, longer\n"}) {
+    ASSERT_TRUE(WriteFileAtomically(path, [&](std::ostream& out) {
+                  out << body;
+                  return Status::OK();
+                }).ok());
+    EXPECT_EQ(ReadFile(path), body);
+    EXPECT_TRUE(TempSiblings(path).empty());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(AtomicFileTest, FailedBodyKeepsThePreviousFileAndRemovesTheTemp) {
+  const std::string path = TestTempPath("atomic_fail.txt");
+  ASSERT_TRUE(WriteFileAtomically(path, [](std::ostream& out) {
+                out << "good\n";
+                return Status::OK();
+              }).ok());
+  const Status st = WriteFileAtomically(path, [](std::ostream& out) {
+    out << "partial";
+    return Status::IoError("writer gave up halfway");
+  });
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_EQ(ReadFile(path), "good\n");
+  EXPECT_TRUE(TempSiblings(path).empty());
+  std::remove(path.c_str());
+}
+
+TEST(AtomicFileTest, MissingDirectoryIsIoError) {
+  const Status st = WriteFileAtomically(
+      TestTempPath("no_such_dir") + "/file.txt",
+      [](std::ostream&) { return Status::OK(); });
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "core/training_data_gen.h"
 #include "datagen/mail_order.h"
 #include "storage/training_data.h"
+#include "test_util.h"
 
 namespace bellwether::core {
 namespace {
@@ -220,7 +221,7 @@ TEST(WeightedSpillTest, WeightsSurviveTheSpillFile) {
   set.targets = {1.0, 2.0, 3.0};
   set.features = {1, 0.5, 1, 0.6, 1, 0.7};
   set.weights = {1.0, 4.0, 9.0};
-  const std::string path = ::testing::TempDir() + "/weighted.spill";
+  const std::string path = TestTempPath("weighted.spill");
   {
     auto writer = storage::SpillFileWriter::Create(path);
     ASSERT_TRUE(writer.ok());

@@ -10,6 +10,7 @@
 
 #include "robust/fault_injection.h"
 #include "table/csv.h"
+#include "test_util.h"
 
 namespace bellwether::table {
 namespace {
@@ -19,7 +20,7 @@ Schema TwoColSchema() {
 }
 
 std::string WriteFile(const std::string& name, const std::string& content) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = TestTempPath(name);
   std::ofstream out(path);
   out << content;
   out.close();

@@ -9,6 +9,7 @@
 #include "datagen/mail_order.h"
 #include "datagen/scalability.h"
 #include "datagen/simulation.h"
+#include "test_util.h"
 
 namespace bellwether::datagen {
 namespace {
@@ -179,7 +180,7 @@ TEST(ScalabilityTest, SpillGenerationMatchesMemory) {
   ASSERT_TRUE(GenerateScalability(config, &mem_sink).ok());
   auto mem_src = mem_sink.Finish();
   ASSERT_TRUE(mem_src.ok());
-  const std::string path = ::testing::TempDir() + "/scal_spill.bin";
+  const std::string path = TestTempPath("scal_spill.bin");
   auto spill_sink = storage::SpillSink::Create(path);
   ASSERT_TRUE(spill_sink.ok());
   ASSERT_TRUE(GenerateScalability(config, spill_sink->get()).ok());

@@ -24,19 +24,10 @@
 #include "robust/fault_injection.h"
 #include "storage/retrying_source.h"
 #include "storage/training_data.h"
+#include "test_util.h"
 
 namespace bellwether::core {
 namespace {
-
-class ScopedFaults {
- public:
-  explicit ScopedFaults(const std::string& spec) {
-    robust::FaultRegistry::Default().Disarm();
-    const Status st = robust::FaultRegistry::Default().Arm(spec);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-  }
-  ~ScopedFaults() { robust::FaultRegistry::Default().Disarm(); }
-};
 
 datagen::SimulationDataset MakeSim(uint64_t seed) {
   datagen::SimulationConfig config;
@@ -261,7 +252,7 @@ TEST(FaultPipelineTest, KilledCubeBuildResumesIdentically) {
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
 
   CubeBuildConfig ckpt_config = base;
-  ckpt_config.checkpoint_path = ::testing::TempDir() + "/cube_resume.bwk";
+  ckpt_config.checkpoint_path = TestTempPath("cube_resume.bwk");
   ckpt_config.checkpoint_every = 1;
 
   {
@@ -313,7 +304,7 @@ TEST(FaultPipelineTest, StaleCheckpointIsIgnored) {
   config.min_subset_size = 20;
   config.min_examples_per_model = 8;
   config.compute_cv_stats = false;
-  config.checkpoint_path = ::testing::TempDir() + "/cube_stale.bwk";
+  config.checkpoint_path = TestTempPath("cube_stale.bwk");
 
   storage::MemoryTrainingData src1(sim.sets);
   auto first = BuildBellwetherCubeSingleScan(&src1, *subsets, config);

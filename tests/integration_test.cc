@@ -16,6 +16,7 @@
 #include "datagen/mail_order.h"
 #include "datagen/simulation.h"
 #include "storage/training_data.h"
+#include "test_util.h"
 
 namespace bellwether::core {
 namespace {
@@ -32,7 +33,7 @@ TEST(IntegrationTest, MailOrderSpilledPipeline) {
   auto data = GenerateTrainingDataInMemory(spec);
   ASSERT_TRUE(data.ok());
 
-  const std::string path = ::testing::TempDir() + "/integration_mail.spill";
+  const std::string path = TestTempPath("integration_mail.spill");
   {
     auto writer = storage::SpillFileWriter::Create(path);
     ASSERT_TRUE(writer.ok());
@@ -195,7 +196,7 @@ TEST(IntegrationTest, PredictionsConsistentAcrossSourceKinds) {
       BuildBellwetherCubeOptimized(&memory, *subsets, cube_config);
   ASSERT_TRUE(from_memory.ok());
 
-  const std::string path = ::testing::TempDir() + "/integration_sim.spill";
+  const std::string path = TestTempPath("integration_sim.spill");
   {
     auto writer = storage::SpillFileWriter::Create(path);
     ASSERT_TRUE(writer.ok());

@@ -1,17 +1,21 @@
-// Corruption hardening of the model/tree/cube loaders: truncated files and
-// byte flips fail with clean statuses (never a crash or a partial object),
-// version-mismatched headers are told apart from garbage, implausible counts
-// are rejected before allocation, and non-finite values round-trip.
+// Corruption hardening of the model/tree/cube/state loaders: truncated files
+// and byte flips fail with clean statuses (never a crash or a partial
+// object; the checksummed state file rejects every flip), version-mismatched
+// headers are told apart from garbage, implausible counts are rejected
+// before allocation, and non-finite values round-trip.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 
-#include <sstream>
-
+#include "common/checksummed_io.h"
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "core/bellwether_cube.h"
 #include "core/bellwether_state.h"
@@ -21,6 +25,7 @@
 #include "regression/linear_model.h"
 #include "regression/suff_stats_io.h"
 #include "storage/training_data.h"
+#include "test_util.h"
 
 namespace bellwether::core {
 namespace {
@@ -50,7 +55,7 @@ datagen::SimulationDataset MakeSim(uint64_t seed) {
 }
 
 TEST(ModelIoCorruptionTest, VersionMismatchIsFailedPrecondition) {
-  const std::string path = ::testing::TempDir() + "/old_version.bwl";
+  const std::string path = TestTempPath("old_version.bwl");
   WriteAll(path, "bellwether-linear-v0\n42\n1 1.5\n");
   auto r = LoadLinearModel(path);
   ASSERT_FALSE(r.ok());
@@ -61,7 +66,7 @@ TEST(ModelIoCorruptionTest, VersionMismatchIsFailedPrecondition) {
 TEST(ModelIoCorruptionTest, WrongArtifactKindIsFailedPrecondition) {
   // A valid tree file handed to the cube loader: recognizably ours, but the
   // wrong kind — the caller picked the wrong loader, not a corrupt file.
-  const std::string path = ::testing::TempDir() + "/kind.bwc";
+  const std::string path = TestTempPath("kind.bwc");
   WriteAll(path, "bellwether-tree-v2\n0\n1\n");
   auto r = LoadBellwetherCube(path, nullptr);
   ASSERT_FALSE(r.ok());
@@ -70,7 +75,7 @@ TEST(ModelIoCorruptionTest, WrongArtifactKindIsFailedPrecondition) {
 }
 
 TEST(ModelIoCorruptionTest, GarbageMagicIsInvalidArgument) {
-  const std::string path = ::testing::TempDir() + "/garbage.bwl";
+  const std::string path = TestTempPath("garbage.bwl");
   WriteAll(path, "#!/bin/sh\necho not a model\n");
   auto r = LoadLinearModel(path);
   ASSERT_FALSE(r.ok());
@@ -80,7 +85,7 @@ TEST(ModelIoCorruptionTest, GarbageMagicIsInvalidArgument) {
 
 TEST(ModelIoCorruptionTest, ImplausibleVectorLengthIsRejected) {
   // A corrupt length field must not become a huge allocation.
-  const std::string path = ::testing::TempDir() + "/huge.bwl";
+  const std::string path = TestTempPath("huge.bwl");
   WriteAll(path, "bellwether-linear-v1\n42\n9999999999999 1.5\n");
   auto r = LoadLinearModel(path);
   ASSERT_FALSE(r.ok());
@@ -89,7 +94,7 @@ TEST(ModelIoCorruptionTest, ImplausibleVectorLengthIsRejected) {
 }
 
 TEST(ModelIoCorruptionTest, LinearModelWithInfAndNanRoundTrips) {
-  const std::string path = ::testing::TempDir() + "/inf.bwl";
+  const std::string path = TestTempPath("inf.bwl");
   regression::LinearModel model({kInf, -kInf, 1.0});
   ASSERT_TRUE(SaveLinearModel(model, 7, path).ok());
   auto back = LoadLinearModel(path);
@@ -120,7 +125,7 @@ TEST(ModelIoCorruptionTest, DegradedCubeCellRoundTrips) {
   cell.degradation = regression::FitDegradation::kMeanFallback;
   cell.fallback_pick = true;
 
-  const std::string path = ::testing::TempDir() + "/degraded.bwc";
+  const std::string path = TestTempPath("degraded.bwc");
   ASSERT_TRUE(SaveBellwetherCube(*cube, path).ok());
   auto back = LoadBellwetherCube(path, *subsets);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -144,7 +149,7 @@ TEST(ModelIoCorruptionTest, TruncatedCubeFailsCleanlyAtEveryBoundary) {
   config.compute_cv_stats = false;
   auto cube = BuildBellwetherCubeOptimized(&source, *subsets, config);
   ASSERT_TRUE(cube.ok());
-  const std::string path = ::testing::TempDir() + "/trunc.bwc";
+  const std::string path = TestTempPath("trunc.bwc");
   ASSERT_TRUE(SaveBellwetherCube(*cube, path).ok());
   const std::string content = ReadAll(path);
   ASSERT_GT(content.size(), 100u);
@@ -173,7 +178,7 @@ TEST(ModelIoCorruptionTest, TruncatedTreeFailsCleanly) {
   config.min_examples_per_model = 10;
   auto tree = BuildBellwetherTreeRainForest(&source, sim.items, config);
   ASSERT_TRUE(tree.ok());
-  const std::string path = ::testing::TempDir() + "/trunc.bwt";
+  const std::string path = TestTempPath("trunc.bwt");
   ASSERT_TRUE(SaveBellwetherTree(*tree, path).ok());
   const std::string content = ReadAll(path);
   // Section boundaries: after the magic (missing column count), after the
@@ -203,7 +208,7 @@ TEST(ModelIoCorruptionTest, ByteFlipsNeverCrashTheLoader) {
   config.min_examples_per_model = 10;
   auto tree = BuildBellwetherTreeRainForest(&source, sim.items, config);
   ASSERT_TRUE(tree.ok());
-  const std::string path = ::testing::TempDir() + "/flip.bwt";
+  const std::string path = TestTempPath("flip.bwt");
   ASSERT_TRUE(SaveBellwetherTree(*tree, path).ok());
   const std::string content = ReadAll(path);
   // Overwrite single bytes with a value no valid token contains; the loader
@@ -220,7 +225,38 @@ TEST(ModelIoCorruptionTest, ByteFlipsNeverCrashTheLoader) {
   std::remove(path.c_str());
 }
 
-// ---- Packed sufficient-statistics wire format ----
+// ---- Binary sufficient-statistics codec ----
+
+std::string EncodeStats(const regression::RegressionSuffStats& stats) {
+  std::ostringstream wire;
+  ChecksummedWriter out(wire);
+  regression::WriteSuffStats(out, stats);
+  out.Flush();
+  return wire.str();
+}
+
+Result<regression::RegressionSuffStats> DecodeStats(const std::string& bytes) {
+  std::istringstream wire(bytes);
+  ChecksummedReader in(wire, bytes.size());
+  return regression::ReadSuffStats(in);
+}
+
+// Offsets of the statistic header fields (int32 p, then int64 n).
+constexpr size_t kStatsArityAt = 0;
+constexpr size_t kStatsCountAt = 4;
+constexpr size_t kStatsHeaderBytes = 4 + 8 + 8 + 8;
+
+template <typename T>
+void PatchField(std::string* bytes, size_t offset, T v) {
+  std::memcpy(bytes->data() + offset, &v, sizeof(v));
+}
+
+template <typename T>
+T FieldAt(const std::string& bytes, size_t offset) {
+  T v{};
+  std::memcpy(&v, bytes.data() + offset, sizeof(v));
+  return v;
+}
 
 TEST(SuffStatsIoTest, PackedStatsRoundTripForEveryArity) {
   Rng rng(123);
@@ -232,50 +268,115 @@ TEST(SuffStatsIoTest, PackedStatsRoundTripForEveryArity) {
       for (double& v : x) v = rng.NextGaussian();
       stats.Add(x.data(), rng.NextGaussian(), 1.0 + rng.NextDouble());
     }
-    std::stringstream wire;
-    regression::WriteSuffStats(wire, stats);
-    auto back = regression::ReadSuffStats(wire);
+    auto back = DecodeStats(EncodeStats(stats));
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     EXPECT_EQ(back->num_features(), p);
     EXPECT_EQ(back->num_examples(), stats.num_examples());
     EXPECT_EQ(back->sum_weights(), stats.sum_weights());
-    // The packed triangle round-trips bit for bit (%.17g).
+    EXPECT_EQ(back->ytwy(), stats.ytwy());
+    // Raw doubles: the packed triangle round-trips bit for bit.
     EXPECT_EQ(back->packed_xtwx(), stats.packed_xtwx());
+    EXPECT_EQ(back->xtwy(), stats.xtwy());
   }
+  // Non-finite values keep their exact bits (no text parsing involved).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto odd = regression::RegressionSuffStats::FromPacked(
+      2, {kInf, nan, -kInf}, {nan, -0.0}, kInf, 3, 2.0);
+  const std::string bytes = EncodeStats(odd);
+  auto back = DecodeStats(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(EncodeStats(*back), bytes);
 }
 
 TEST(SuffStatsIoTest, TruncatedTriangleIsIoError) {
   regression::RegressionSuffStats stats(4);
   std::vector<double> x{1.0, 2.0, 3.0, 4.0};
   stats.Add(x.data(), 1.5);
-  std::stringstream wire;
-  regression::WriteSuffStats(wire, stats);
-  std::string line = wire.str();
-  // Cut inside the packed-triangle section (after the 6th token: tag, p, n,
-  // sum_w, ytwy, first triangle value).
-  size_t pos = 0;
-  for (int tok = 0; tok < 6; ++tok) pos = line.find(' ', pos + 1);
-  std::stringstream cut(line.substr(0, pos));
-  auto r = regression::ReadSuffStats(cut);
+  const std::string bytes = EncodeStats(stats);
+  // Cut inside the packed-triangle section, after its first value.
+  auto r = DecodeStats(bytes.substr(0, kStatsHeaderBytes + sizeof(double)));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
 
 TEST(SuffStatsIoTest, ImplausibleCountsAreRejectedBeforeAllocation) {
+  regression::RegressionSuffStats stats(1);
+  const double x = 1.0;
+  stats.Add(&x, 1.0);
+  const std::string bytes = EncodeStats(stats);
+
   // Arity beyond the 4096 bound: would be a ~8M-doubles triangle.
-  std::stringstream huge_p("stats 99999999 1 1 0\n");
-  auto rp = regression::ReadSuffStats(huge_p);
+  std::string huge_p = bytes;
+  PatchField<int32_t>(&huge_p, kStatsArityAt, 99999999);
+  auto rp = DecodeStats(huge_p);
   ASSERT_FALSE(rp.ok());
   EXPECT_EQ(rp.status().code(), StatusCode::kIoError);
 
   // Example count beyond 2^48: no real scan produces it — corruption.
-  std::stringstream huge_n("stats 1 999999999999999999 1 0 1 1\n");
-  auto rn = regression::ReadSuffStats(huge_n);
+  std::string huge_n = bytes;
+  PatchField<int64_t>(&huge_n, kStatsCountAt, 999999999999999999);
+  auto rn = DecodeStats(huge_n);
   ASSERT_FALSE(rn.ok());
   EXPECT_EQ(rn.status().code(), StatusCode::kIoError);
+
+  // A plausible arity whose triangle (64 MiB) is larger than the bytes
+  // left fails on the bound, before the triangle is allocated.
+  std::string big_p = bytes;
+  PatchField<int32_t>(&big_p, kStatsArityAt, 4096);
+  auto rb = DecodeStats(big_p);
+  ASSERT_FALSE(rb.ok());
+  EXPECT_EQ(rb.status().code(), StatusCode::kIoError);
+  EXPECT_NE(rb.status().message().find("bytes left"), std::string::npos)
+      << rb.status().ToString();
 }
 
 // ---- Bellwether state files ----
+
+// Rewrites the CRC-32C trailer, so an edited body passes the checksum and
+// only the loader's other checks can reject it.
+void RefreshTrailer(std::string* bytes) {
+  const size_t body = bytes->find('\n') + 1;
+  const uint32_t crc =
+      Crc32c(0, bytes->data() + body, bytes->size() - body - sizeof(crc));
+  PatchField(bytes, bytes->size() - sizeof(crc), crc);
+}
+
+// Section boundaries of a state file (no item mask) up to the end of its
+// first region's retained rows, walked with the documented v4 layout.
+struct FirstRegionLayout {
+  size_t header_end = 0;         // fingerprint .. region count
+  size_t region_header_end = 0;  // region id, touched count
+  size_t first_stat_end = 0;     // slot index + first statistic
+  size_t rows_start = 0;         // the spill-layout rows record
+  size_t items_end = 0;
+  size_t features_end = 0;
+  size_t targets_end = 0;  // end of the (unweighted) record
+};
+
+FirstRegionLayout WalkFirstRegion(const std::string& bytes) {
+  FirstRegionLayout l;
+  size_t pos = bytes.find('\n') + 1;
+  pos += 8 + (4 + 4 + 1 + 4 + 8);  // fingerprint, config
+  EXPECT_EQ(FieldAt<uint8_t>(bytes, pos), 0) << "walker expects no mask";
+  pos += 1;
+  const int64_t p = FieldAt<int32_t>(bytes, pos);
+  pos += 4 + 8 + 8;  // num_features, delta_batches, region count
+  l.header_end = pos;
+  const int64_t touched = FieldAt<int64_t>(bytes, pos + 8);
+  pos += 8 + 8;
+  l.region_header_end = pos;
+  const size_t stat_bytes =
+      4 + kStatsHeaderBytes + sizeof(double) * (p * (p + 1) / 2 + p);
+  l.first_stat_end = pos + stat_bytes;
+  l.rows_start = pos + touched * stat_bytes;
+  const int64_t n = FieldAt<int64_t>(bytes, l.rows_start + 8 + 4);
+  EXPECT_EQ(FieldAt<uint8_t>(bytes, l.rows_start + 8 + 4 + 8), 0)
+      << "walker expects unweighted rows";
+  l.items_end = l.rows_start + (8 + 4 + 8 + 1) + sizeof(int32_t) * n;
+  l.features_end = l.items_end + sizeof(double) * n * p;
+  l.targets_end = l.features_end + sizeof(double) * n;
+  return l;
+}
 
 class StateFileTest : public ::testing::Test {
  protected:
@@ -291,10 +392,18 @@ class StateFileTest : public ::testing::Test {
     ASSERT_TRUE(state.ok());
     state_ = std::move(*state);
     ASSERT_TRUE(state_->ApplyDelta(sim_.sets).ok());
-    path_ = ::testing::TempDir() + "/corrupt_state.bws";
+    path_ = TestTempPath("corrupt_state.bws");
     ASSERT_TRUE(state_->Save(path_).ok());
   }
   void TearDown() override { std::remove(path_.c_str()); }
+
+  void ExpectIoError(const std::string& content, const std::string& what) {
+    WriteAll(path_, content);
+    auto r = LoadBellwetherState(path_, subsets_);
+    ASSERT_FALSE(r.ok()) << what;
+    EXPECT_EQ(r.status().code(), StatusCode::kIoError)
+        << what << ": " << r.status().ToString();
+  }
 
   datagen::SimulationDataset sim_;
   std::shared_ptr<const ItemSubsetSpace> subsets_;
@@ -309,6 +418,16 @@ TEST_F(StateFileTest, WrongArtifactKindIsFailedPrecondition) {
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_F(StateFileTest, TextV3StateIsFailedPrecondition) {
+  // The text format this binary one replaced: no migration reader.
+  WriteAll(path_,
+           "bellwether-state-v3\nfingerprint 1\nconfig 20 8 1 10 17\n"
+           "mask 0\nnum_features 3\ndelta_batches 1\nregions 0\nend\n");
+  auto r = LoadBellwetherState(path_, subsets_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+}
+
 TEST_F(StateFileTest, GarbageMagicIsInvalidArgument) {
   WriteAll(path_, "not a state file\n");
   auto r = LoadBellwetherState(path_, subsets_);
@@ -318,28 +437,96 @@ TEST_F(StateFileTest, GarbageMagicIsInvalidArgument) {
 
 TEST_F(StateFileTest, TruncationFailsCleanlyAtEveryBoundary) {
   const std::string content = ReadAll(path_);
-  ASSERT_GT(content.size(), 200u);
-  // Boundaries: empty file, end of magic, mid-header, mid first region's
-  // suff-stats, and a cut inside the retained-rows arrays.
+  const FirstRegionLayout l = WalkFirstRegion(content);
+  // The walked rows record is exactly a spill record of the region's rows.
+  const storage::RegionTrainingSet* first = nullptr;
+  for (const auto& set : sim_.sets) {
+    if (set.num_examples() > 0) {
+      first = &set;
+      break;
+    }
+  }
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(l.targets_end - l.rows_start, first->ByteSize());
+  ASSERT_LT(l.targets_end, content.size());
+
   const size_t magic_end = content.find('\n') + 1;
-  for (size_t cut : {size_t{0}, magic_end, magic_end + 20,
-                     content.size() / 3, content.size() - 5}) {
-    WriteAll(path_, content.substr(0, cut));
-    auto r = LoadBellwetherState(path_, subsets_);
-    ASSERT_FALSE(r.ok()) << "cut at " << cut;
-    EXPECT_EQ(r.status().code(), StatusCode::kIoError) << "cut at " << cut;
+  const size_t size = content.size();
+  // Boundaries: empty file, magic line, header, region header, first
+  // statistic, rows header, each row array, end marker, and trailer.
+  for (size_t cut :
+       {size_t{0}, magic_end, magic_end + 20, l.header_end,
+        l.region_header_end, l.first_stat_end, l.rows_start,
+        l.rows_start + 21, l.items_end, l.features_end, l.targets_end,
+        size - 12, size - 8, size - 4, size - 1}) {
+    ExpectIoError(content.substr(0, cut), "cut at " + std::to_string(cut));
   }
 }
 
 TEST_F(StateFileTest, ByteFlipsNeverCrashTheLoader) {
+  // Stronger than "never crash": with the CRC-32C trailer no single-byte
+  // change loads. Every byte of the header and first region header is
+  // flipped, then a stride through the rest of the file.
   const std::string content = ReadAll(path_);
+  const size_t dense_end = content.find('\n') + 1 + 80;
+  int flips = 0;
   for (size_t pos = 0; pos < content.size();
-       pos += content.size() / 41 + 1) {
+       pos += pos < dense_end ? 1 : content.size() / 211 + 1) {
     std::string flipped = content;
-    flipped[pos] = '\x01';
+    flipped[pos] = static_cast<char>(flipped[pos] ^ 0x5A);
     WriteAll(path_, flipped);
     auto r = LoadBellwetherState(path_, subsets_);
-    (void)r;  // any Status is acceptable; crashing is not
+    EXPECT_FALSE(r.ok()) << "flip at " << pos << " of " << content.size();
+    ++flips;
+  }
+  EXPECT_GT(flips, 250);
+}
+
+TEST_F(StateFileTest, RowCountPastTheEndFailsOnTheBoundNotTheChecksum) {
+  std::string content = ReadAll(path_);
+  std::string refreshed = content;
+  RefreshTrailer(&refreshed);
+  ASSERT_EQ(refreshed, content);  // the test's CRC matches the writer's
+  // 2^25 rows: under the text format's 2^26 count cap, far past the end
+  // of this file. The trailer is recomputed, so only the bound catches it.
+  const FirstRegionLayout l = WalkFirstRegion(content);
+  PatchField<int64_t>(&content, l.rows_start + 8 + 4, int64_t{1} << 25);
+  RefreshTrailer(&content);
+  WriteAll(path_, content);
+  auto r = LoadBellwetherState(path_, subsets_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  EXPECT_NE(r.status().message().find("bytes left"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST_F(StateFileTest, TrailingBytesAreRejected) {
+  const std::string content = ReadAll(path_);
+  ExpectIoError(content + std::string(1, '\0'), "one extra byte");
+  // Four extra bytes that checksum everything before them: the file is
+  // still rejected, because nothing may follow the end marker's trailer.
+  std::string extended = content + std::string(4, '\0');
+  RefreshTrailer(&extended);
+  ExpectIoError(extended, "a second, valid-looking trailer");
+}
+
+TEST_F(StateFileTest, FailedSaveKeepsThePreviousFileAndLeavesNoTempFile) {
+  const std::string before = ReadAll(path_);
+  {
+    ScopedFaults faults("artifact.write:io@1");
+    const Status st = state_->Save(path_);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kIoError);
+  }
+  EXPECT_EQ(ReadAll(path_), before);
+  auto reopened = LoadBellwetherState(path_, subsets_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const std::filesystem::path target(path_);
+  const std::string tmp_prefix = target.filename().string() + ".tmp";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(tmp_prefix, 0), 0u)
+        << "leftover temp file " << entry.path();
   }
 }
 

@@ -8,6 +8,7 @@
 #include "core/model_io.h"
 #include "datagen/simulation.h"
 #include "storage/training_data.h"
+#include "test_util.h"
 
 namespace bellwether::core {
 namespace {
@@ -24,7 +25,7 @@ datagen::SimulationDataset MakeSim(uint64_t seed) {
 }
 
 TEST(ModelIoTest, LinearModelRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/model.bwl";
+  const std::string path = TestTempPath("model.bwl");
   regression::LinearModel model({1.5, -2.25, 1e-17, 3.0});
   ASSERT_TRUE(SaveLinearModel(model, 42, path).ok());
   auto back = LoadLinearModel(path);
@@ -38,7 +39,7 @@ TEST(ModelIoTest, LinearModelRoundTrip) {
 }
 
 TEST(ModelIoTest, LinearModelRejectsWrongMagic) {
-  const std::string path = ::testing::TempDir() + "/bad.bwl";
+  const std::string path = TestTempPath("bad.bwl");
   FILE* f = fopen(path.c_str(), "w");
   fputs("something else\n", f);
   fclose(f);
@@ -56,7 +57,7 @@ TEST(ModelIoTest, TreeRoundTripPreservesPredictions) {
   config.min_examples_per_model = 10;
   auto tree = BuildBellwetherTreeRainForest(&source, sim.items, config);
   ASSERT_TRUE(tree.ok());
-  const std::string path = ::testing::TempDir() + "/tree.bwt";
+  const std::string path = TestTempPath("tree.bwt");
   ASSERT_TRUE(SaveBellwetherTree(*tree, path).ok());
   auto back = LoadBellwetherTree(path, sim.items);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -75,7 +76,7 @@ TEST(ModelIoTest, TreeRoundTripPreservesPredictions) {
 }
 
 TEST(ModelIoTest, TreeLoadValidatesChildren) {
-  const std::string path = ::testing::TempDir() + "/tree_bad.bwt";
+  const std::string path = TestTempPath("tree_bad.bwt");
   FILE* f = fopen(path.c_str(), "w");
   fputs("bellwether-tree-v2\n0\n1\n0 5 1 3 0 1.0 0.0\n1 1\n-1 0 0 2\n1 99\n",
         f);
@@ -95,7 +96,7 @@ TEST(ModelIoTest, CubeRoundTripPreservesPredictions) {
   config.compute_cv_stats = true;
   auto cube = BuildBellwetherCubeOptimized(&source, *subsets, config);
   ASSERT_TRUE(cube.ok());
-  const std::string path = ::testing::TempDir() + "/cube.bwc";
+  const std::string path = TestTempPath("cube.bwc");
   ASSERT_TRUE(SaveBellwetherCube(*cube, path).ok());
   auto back = LoadBellwetherCube(path, *subsets);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -128,7 +129,7 @@ TEST(ModelIoTest, CubeLoadRejectsMismatchedSubsetSpace) {
   config.compute_cv_stats = false;
   auto cube = BuildBellwetherCubeOptimized(&source, *subsets, config);
   ASSERT_TRUE(cube.ok());
-  const std::string path = ::testing::TempDir() + "/cube_mismatch.bwc";
+  const std::string path = TestTempPath("cube_mismatch.bwc");
   ASSERT_TRUE(SaveBellwetherCube(*cube, path).ok());
   // A smaller subset space (only one hierarchy) must be rejected.
   auto other = ItemSubsetSpace::Create(

@@ -18,22 +18,13 @@
 #include "robust/fault_injection.h"
 #include "storage/retrying_source.h"
 #include "storage/training_data.h"
+#include "test_util.h"
 
 namespace bellwether::core {
 namespace {
 
 // 0 resolves to hardware_concurrency.
 const int32_t kThreadCounts[] = {1, 2, 4, 0};
-
-class ScopedFaults {
- public:
-  explicit ScopedFaults(const std::string& spec) {
-    robust::FaultRegistry::Default().Disarm();
-    const Status st = robust::FaultRegistry::Default().Arm(spec);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-  }
-  ~ScopedFaults() { robust::FaultRegistry::Default().Disarm(); }
-};
 
 datagen::SimulationDataset MakeSim(uint64_t seed) {
   datagen::SimulationConfig config;
@@ -258,7 +249,7 @@ TEST(ParallelDeterminismTest, CubeCrashAndResumeAcrossThreadCounts) {
       SCOPED_TRACE("crash_threads=" + std::to_string(crash_threads) +
                    " resume_threads=" + std::to_string(resume_threads));
       CubeBuildConfig ckpt = base;
-      ckpt.checkpoint_path = ::testing::TempDir() + "/par_cube_resume_" +
+      ckpt.checkpoint_path = TestTempPath("par_cube_resume_") +
                              std::to_string(crash_threads) + "_" +
                              std::to_string(resume_threads) + ".bwk";
       ckpt.checkpoint_every = 1;

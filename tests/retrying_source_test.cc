@@ -13,21 +13,10 @@
 #include "robust/fault_injection.h"
 #include "storage/retrying_source.h"
 #include "storage/training_data.h"
+#include "test_util.h"
 
 namespace bellwether::storage {
 namespace {
-
-// Arms the process-default fault registry for one test and guarantees it is
-// disarmed again, so no schedule can leak into other tests of this binary.
-class ScopedFaults {
- public:
-  explicit ScopedFaults(const std::string& spec) {
-    robust::FaultRegistry::Default().Disarm();
-    const Status st = robust::FaultRegistry::Default().Arm(spec);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-  }
-  ~ScopedFaults() { robust::FaultRegistry::Default().Disarm(); }
-};
 
 datagen::SimulationDataset MakeSim(uint64_t seed) {
   datagen::SimulationConfig config;

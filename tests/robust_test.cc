@@ -1,5 +1,6 @@
 // Unit tests of the robustness toolkit: the deterministic fault-injection
-// registry, row quarantine accounting, and the cube checkpoint format.
+// registry, row quarantine accounting, and the cube checkpoint format (and
+// through it the binary suff-stats codec shared with the state file).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "robust/checkpoint.h"
 #include "robust/fault_injection.h"
 #include "robust/quarantine.h"
+#include "test_util.h"
 
 namespace bellwether::robust {
 namespace {
@@ -151,6 +153,12 @@ TEST(FingerprintTest, OrderAndValueSensitive) {
   EXPECT_NE(a.value(), d.value());
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 regression::RegressionSuffStats MakeStats() {
   regression::RegressionSuffStats s(3);
   const double rows[4][3] = {{1, 2, 3}, {1, 0, -1}, {1, 5, 2}, {1, 1, 1}};
@@ -164,7 +172,7 @@ TEST(CheckpointTest, RoundTripIsExact) {
   ckpt.fingerprint = 0xDEADBEEFCAFEF00DULL;
   ckpt.regions_processed = 7;
   PickCheckpoint pick;
-  pick.error = 1.0 / 3.0;  // not representable in decimal; %.17g must hold it
+  pick.error = 1.0 / 3.0;  // not representable in decimal
   pick.region = 12;
   pick.stats = MakeStats();
   pick.fallback_region = 3;
@@ -175,7 +183,7 @@ TEST(CheckpointTest, RoundTripIsExact) {
   untouched.error = kInf;
   ckpt.picks.push_back(untouched);
 
-  const std::string path = ::testing::TempDir() + "/ckpt.bwk";
+  const std::string path = TestTempPath("ckpt.bwk");
   ASSERT_TRUE(SaveCubeCheckpoint(ckpt, path).ok());
   auto back = LoadCubeCheckpoint(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -189,8 +197,13 @@ TEST(CheckpointTest, RoundTripIsExact) {
   EXPECT_EQ(back->picks[0].stats.num_examples(), 4);
   EXPECT_EQ(back->picks[0].stats.xtwy()[2], pick.stats.xtwy()[2]);
   EXPECT_EQ(back->picks[0].stats.xtwx()(1, 2), pick.stats.xtwx()(1, 2));
-  EXPECT_EQ(back->picks[1].error, kInf);  // inf survives the text format
+  EXPECT_EQ(back->picks[1].error, kInf);  // inf survives as raw bytes
   EXPECT_EQ(back->picks[1].region, -1);
+  // Saving the loaded checkpoint reproduces the file bit for bit.
+  const std::string again = TestTempPath("ckpt_again.bwk");
+  ASSERT_TRUE(SaveCubeCheckpoint(*back, again).ok());
+  EXPECT_EQ(ReadFile(again), ReadFile(path));
+  std::remove(again.c_str());
   std::remove(path.c_str());
 }
 
@@ -202,12 +215,9 @@ TEST(CheckpointTest, TruncatedFileIsIoError) {
   pick.stats = MakeStats();
   pick.fallback_stats = MakeStats();
   ckpt.picks.push_back(pick);
-  const std::string path = ::testing::TempDir() + "/ckpt_trunc.bwk";
+  const std::string path = TestTempPath("ckpt_trunc.bwk");
   ASSERT_TRUE(SaveCubeCheckpoint(ckpt, path).ok());
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  in.close();
+  const std::string content = ReadFile(path);
   // Cut at several depths: after the magic, mid-header, mid-pick.
   for (size_t cut : {size_t{30}, size_t{60}, size_t{100},
                      content.size() - 4}) {
@@ -223,18 +233,44 @@ TEST(CheckpointTest, TruncatedFileIsIoError) {
 }
 
 TEST(CheckpointTest, WrongMagicIsFailedPrecondition) {
-  const std::string path = ::testing::TempDir() + "/ckpt_magic.bwk";
-  std::ofstream out(path);
-  out << "bellwether-cube-checkpoint-v999\nfingerprint 1\n";
-  out.close();
-  auto r = LoadCubeCheckpoint(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  const std::string path = TestTempPath("ckpt_magic.bwk");
+  // A future version, and the text format v3 replaced.
+  for (const char* magic : {"bellwether-cube-checkpoint-v999",
+                            "bellwether-cube-checkpoint-v2"}) {
+    std::ofstream out(path);
+    out << magic << "\nfingerprint 1\nregions_processed 0\npicks 0\nend\n";
+    out.close();
+    auto r = LoadCubeCheckpoint(path);
+    ASSERT_FALSE(r.ok()) << magic;
+    EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition) << magic;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, EveryByteFlipIsRejected) {
+  CubeBuildCheckpoint ckpt;
+  ckpt.fingerprint = 9;
+  ckpt.regions_processed = 2;
+  PickCheckpoint pick;
+  pick.error = 0.5;
+  pick.region = 4;
+  pick.stats = MakeStats();
+  pick.fallback_stats = MakeStats();
+  ckpt.picks.push_back(pick);
+  const std::string path = TestTempPath("ckpt_flip.bwk");
+  ASSERT_TRUE(SaveCubeCheckpoint(ckpt, path).ok());
+  const std::string content = ReadFile(path);
+  for (size_t pos = 0; pos < content.size(); ++pos) {
+    std::string flipped = content;
+    flipped[pos] = static_cast<char>(flipped[pos] ^ 0x5A);
+    std::ofstream(path, std::ios::binary) << flipped;
+    EXPECT_FALSE(LoadCubeCheckpoint(path).ok()) << "flip at " << pos;
+  }
   std::remove(path.c_str());
 }
 
 TEST(CheckpointTest, MissingFileIsIoError) {
-  auto r = LoadCubeCheckpoint(::testing::TempDir() + "/does_not_exist.bwk");
+  auto r = LoadCubeCheckpoint(TestTempPath("does_not_exist.bwk"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }

@@ -23,23 +23,15 @@
 #include "core/bellwether_state.h"
 #include "core/model_io.h"
 #include "datagen/simulation.h"
+#include "obs/metrics.h"
 #include "olap/dirty.h"
 #include "olap/region.h"
 #include "robust/fault_injection.h"
 #include "storage/training_data.h"
+#include "test_util.h"
 
 namespace bellwether::core {
 namespace {
-
-class ScopedFaults {
- public:
-  explicit ScopedFaults(const std::string& spec) {
-    robust::FaultRegistry::Default().Disarm();
-    const Status st = robust::FaultRegistry::Default().Arm(spec);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-  }
-  ~ScopedFaults() { robust::FaultRegistry::Default().Disarm(); }
-};
 
 datagen::SimulationDataset MakeSim(uint64_t seed) {
   datagen::SimulationConfig config;
@@ -137,8 +129,8 @@ std::string ReadAll(const std::string& path) {
 void ExpectSameArtifactBytes(const BellwetherCube& got,
                              const BellwetherCube& want,
                              const std::string& tag) {
-  const std::string got_path = ::testing::TempDir() + "/" + tag + "_got.bwc";
-  const std::string want_path = ::testing::TempDir() + "/" + tag + "_want.bwc";
+  const std::string got_path = TestTempPath(tag + "_got.bwc");
+  const std::string want_path = TestTempPath(tag + "_want.bwc");
   ASSERT_TRUE(SaveBellwetherCube(got, got_path).ok());
   ASSERT_TRUE(SaveBellwetherCube(want, want_path).ok());
   EXPECT_EQ(ReadAll(got_path), ReadAll(want_path));
@@ -360,7 +352,7 @@ TEST(StateDeltaTest, CrashMidBatchReopensFromSaveAndConverges) {
   auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
   ASSERT_TRUE(subsets.ok());
   CubeBuildConfig config = MakeConfig();
-  config.checkpoint_path = ::testing::TempDir() + "/state_crash.bws";
+  config.checkpoint_path = TestTempPath("state_crash.bws");
 
   Rng rng(510);
   const auto batches = SplitIntoBatches(sim.sets, 2, &rng);
@@ -417,13 +409,17 @@ TEST(StateDeltaTest, SaveOpenRoundTripPreservesStateAndArtifacts) {
   auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
   ASSERT_TRUE(subsets.ok());
   const CubeBuildConfig config = MakeConfig();
-  const std::string path = ::testing::TempDir() + "/state_roundtrip.bws";
+  const std::string path = TestTempPath("state_roundtrip.bws");
 
   auto state = NewState(*subsets, config);
   ASSERT_TRUE(state.ok());
   ASSERT_TRUE((*state)->ApplyDelta(sim.sets).ok());
   auto want = (*state)->Finalize();
   ASSERT_TRUE(want.ok());
+  obs::Counter* saves = obs::DefaultMetrics().GetCounter(obs::kMStateSaves);
+  obs::Counter* opens = obs::DefaultMetrics().GetCounter(obs::kMStateOpens);
+  const int64_t saves_before = saves->Value();
+  const int64_t opens_before = opens->Value();
   ASSERT_TRUE((*state)->Save(path).ok());
 
   auto reopened = BellwetherState::Open(path, *subsets);
@@ -431,10 +427,18 @@ TEST(StateDeltaTest, SaveOpenRoundTripPreservesStateAndArtifacts) {
   EXPECT_EQ((*reopened)->fingerprint(), (*state)->fingerprint());
   EXPECT_EQ((*reopened)->num_regions(), (*state)->num_regions());
   EXPECT_EQ((*reopened)->delta_batches(), 1);
+  // Saving the reopened state through the free function reproduces the
+  // file bit for bit, and both saves are counted.
+  const std::string again = TestTempPath("state_roundtrip_again.bws");
+  ASSERT_TRUE(SaveBellwetherState(**reopened, again).ok());
+  EXPECT_EQ(ReadAll(again), ReadAll(path));
+  EXPECT_EQ(saves->Value() - saves_before, 2);
+  EXPECT_EQ(opens->Value() - opens_before, 1);
   auto got = (*reopened)->Finalize();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ExpectCubesIdentical(*got, *want);
   ExpectSameArtifactBytes(*got, *want, "roundtrip");
+  std::remove(again.c_str());
   std::remove(path.c_str());
 }
 
@@ -442,7 +446,7 @@ TEST(StateDeltaTest, OpenRejectsForeignSubsetSpace) {
   datagen::SimulationDataset sim = MakeSim(71);
   auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
   ASSERT_TRUE(subsets.ok());
-  const std::string path = ::testing::TempDir() + "/state_foreign.bws";
+  const std::string path = TestTempPath("state_foreign.bws");
   auto state = NewState(*subsets, MakeConfig());
   ASSERT_TRUE(state.ok());
   ASSERT_TRUE((*state)->ApplyDelta(sim.sets).ok());

@@ -22,6 +22,7 @@
 #include "storage/retrying_source.h"
 #include "storage/training_data.h"
 #include "storage/training_data_sink.h"
+#include "test_util.h"
 
 namespace bellwether::storage {
 namespace {
@@ -76,7 +77,7 @@ TEST(SinkOrderingTest, DuplicateRegionIsAlsoAViolation) {
 }
 
 TEST(SinkOrderingTest, SpillSinkRejectsOutOfOrderAtFinish) {
-  const std::string path = ::testing::TempDir() + "/sink_order.spill";
+  const std::string path = TestTempPath("sink_order.spill");
   auto sink = SpillSink::Create(path);
   ASSERT_TRUE(sink.ok());
   ASSERT_TRUE((*sink)->Append(MakeSet(7, 2)).ok());
@@ -88,7 +89,7 @@ TEST(SinkOrderingTest, SpillSinkRejectsOutOfOrderAtFinish) {
 }
 
 TEST(SinkOrderingTest, BudgetedSinkRejectsOutOfOrderAtFinish) {
-  const std::string path = ::testing::TempDir() + "/sink_order_budget.spill";
+  const std::string path = TestTempPath("sink_order_budget.spill");
   BudgetedSink sink(/*memory_budget_bytes=*/64, path);
   ASSERT_TRUE(sink.Append(MakeSet(9, 4)).ok());
   ASSERT_TRUE(sink.Append(MakeSet(1, 4)).ok());
@@ -119,7 +120,7 @@ TEST(SinkRoundTripTest, WeightedSetsSurviveEverySinkKind) {
   auto mem_src = mem.Finish();
   ASSERT_TRUE(mem_src.ok());
 
-  const std::string spath = ::testing::TempDir() + "/sink_weighted.spill";
+  const std::string spath = TestTempPath("sink_weighted.spill");
   auto spill = SpillSink::Create(spath);
   ASSERT_TRUE(spill.ok());
   for (const auto& s : ref) {
@@ -128,7 +129,7 @@ TEST(SinkRoundTripTest, WeightedSetsSurviveEverySinkKind) {
   auto spill_src = (*spill)->Finish();
   ASSERT_TRUE(spill_src.ok());
 
-  const std::string bpath = ::testing::TempDir() + "/sink_weighted_b.spill";
+  const std::string bpath = TestTempPath("sink_weighted_b.spill");
   BudgetedSink budgeted(/*memory_budget_bytes=*/1, bpath);
   for (const auto& s : ref) {
     ASSERT_TRUE(budgeted.Append(RegionTrainingSet(s)).ok());
@@ -155,7 +156,7 @@ TEST(SinkRoundTripTest, ZeroExampleRegionsSurviveEverySinkKind) {
   ref.push_back(MakeSet(2, 0));
   ref.push_back(MakeSet(3, 4));
 
-  const std::string spath = ::testing::TempDir() + "/sink_empty.spill";
+  const std::string spath = TestTempPath("sink_empty.spill");
   auto spill = SpillSink::Create(spath);
   ASSERT_TRUE(spill.ok());
   for (const auto& s : ref) {
@@ -169,7 +170,7 @@ TEST(SinkRoundTripTest, ZeroExampleRegionsSurviveEverySinkKind) {
   EXPECT_EQ(empty->region, 2);
   EXPECT_EQ(empty->num_examples(), 0u);
 
-  const std::string bpath = ::testing::TempDir() + "/sink_empty_b.spill";
+  const std::string bpath = TestTempPath("sink_empty_b.spill");
   BudgetedSink budgeted(/*memory_budget_bytes=*/1, bpath);
   for (const auto& s : ref) {
     ASSERT_TRUE(budgeted.Append(RegionTrainingSet(s)).ok());
@@ -184,7 +185,7 @@ TEST(SinkRoundTripTest, ZeroExampleRegionsSurviveEverySinkKind) {
 // ---- BudgetedSink migration mechanics ----
 
 TEST(BudgetedSinkTest, StaysInMemoryUnderBudget) {
-  const std::string path = ::testing::TempDir() + "/sink_nomigrate.spill";
+  const std::string path = TestTempPath("sink_nomigrate.spill");
   BudgetedSink sink(/*memory_budget_bytes=*/1 << 20, path);
   for (olap::RegionId r : {1, 2, 3}) {
     ASSERT_TRUE(sink.Append(MakeSet(r, 5)).ok());
@@ -206,7 +207,7 @@ TEST(BudgetedSinkTest, MigratesMidStreamAndDropsResidency) {
   for (olap::RegionId r = 0; r < 8; ++r) ref.push_back(MakeSet(r, 6));
   const size_t two_sets = ref[0].ByteSize() + ref[1].ByteSize();
 
-  const std::string path = ::testing::TempDir() + "/sink_migrate.spill";
+  const std::string path = TestTempPath("sink_migrate.spill");
   BudgetedSink sink(/*memory_budget_bytes=*/two_sets, path);
   size_t appended = 0;
   for (const auto& s : ref) {
@@ -245,7 +246,7 @@ TEST(BudgetedSinkTest, PeakResidentGaugeBoundedByBudgetPlusLargestSet) {
     largest = std::max(largest, ref.back().ByteSize());
   }
   const size_t budget = ref[0].ByteSize() * 2;
-  const std::string path = ::testing::TempDir() + "/sink_peak.spill";
+  const std::string path = TestTempPath("sink_peak.spill");
   BudgetedSink sink(budget, path);
   for (auto& s : ref) ASSERT_TRUE(sink.Append(std::move(s)).ok());
   ASSERT_TRUE(sink.spilled());
@@ -317,7 +318,7 @@ TEST_F(BudgetedPipelineTest, BudgetedRunBitIdenticalAtAnyThreadCount) {
 
   for (int32_t num_threads : {1, 2, 4}) {
     SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
-    const std::string path = ::testing::TempDir() + "/budget_pipeline_" +
+    const std::string path = TestTempPath("budget_pipeline_") +
                              std::to_string(num_threads) + ".spill";
     // A budget of one set's bytes forces migration almost immediately.
     BudgetedSink sink(/*memory_budget_bytes=*/4096, path);
@@ -375,16 +376,6 @@ TEST_F(BudgetedPipelineTest, BudgetedRunBitIdenticalAtAnyThreadCount) {
   }
 }
 
-class ScopedFaults {
- public:
-  explicit ScopedFaults(const std::string& spec) {
-    robust::FaultRegistry::Default().Disarm();
-    const Status st = robust::FaultRegistry::Default().Arm(spec);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-  }
-  ~ScopedFaults() { robust::FaultRegistry::Default().Disarm(); }
-};
-
 TEST_F(BudgetedPipelineTest, SpilledSourceSurvivesScanFaultsAndResumes) {
   // Generate through a BudgetedSink that migrates mid-stream, then drive
   // the spilled source through (1) transient storage.scan faults behind the
@@ -393,7 +384,7 @@ TEST_F(BudgetedPipelineTest, SpilledSourceSurvivesScanFaultsAndResumes) {
   auto ref = core::GenerateTrainingDataInMemory(MakeSpecFor(1));
   ASSERT_TRUE(ref.ok());
 
-  const std::string path = ::testing::TempDir() + "/budget_faulted.spill";
+  const std::string path = TestTempPath("budget_faulted.spill");
   BudgetedSink sink(/*memory_budget_bytes=*/4096, path);
   auto profile = core::GenerateTrainingData(MakeSpecFor(1), &sink);
   ASSERT_TRUE(profile.ok());
@@ -430,7 +421,7 @@ TEST_F(BudgetedPipelineTest, SpilledSourceSurvivesScanFaultsAndResumes) {
   ASSERT_TRUE(ref_cube.ok());
 
   core::CubeBuildConfig ckpt = base;
-  ckpt.checkpoint_path = ::testing::TempDir() + "/budget_faulted.bwk";
+  ckpt.checkpoint_path = TestTempPath("budget_faulted.bwk");
   ckpt.checkpoint_every = 1;
   {
     ScopedFaults faults("cube.scan:crash@1");
@@ -466,7 +457,7 @@ TEST(BudgetedSinkTest, ArenaBalancesAfterInjectedSpillFault) {
   auto* releases = obs::DefaultMetrics().GetCounter(obs::kMArenaReleases);
   const int64_t releases_before = releases->Value();
 
-  const std::string path = ::testing::TempDir() + "/sink_fault.spill";
+  const std::string path = TestTempPath("sink_fault.spill");
   BudgetedSink sink(budget, path);
   ASSERT_TRUE(sink.Append(RegionTrainingSet(ref[0])).ok());
   ASSERT_TRUE(sink.Append(RegionTrainingSet(ref[1])).ok());
@@ -496,7 +487,7 @@ TEST(BudgetedSinkTest, ArenaBalancesWhenSpillFileCannotBeCreated) {
   // A spill path inside a directory that does not exist: migration fails at
   // SpillFileWriter::Create, before any buffered set is written.
   BudgetedSink sink(/*memory_budget_bytes=*/ref[0].ByteSize(),
-                    ::testing::TempDir() + "/no_such_dir/sink.spill");
+                    TestTempPath("no_such_dir") + "/sink.spill");
   ASSERT_TRUE(sink.Append(RegionTrainingSet(ref[0])).ok());
   const Status st = sink.Append(RegionTrainingSet(ref[1]));
   ASSERT_FALSE(st.ok());

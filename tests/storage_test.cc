@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "storage/training_data.h"
+#include "test_util.h"
 
 namespace bellwether::storage {
 namespace {
@@ -55,7 +56,7 @@ TEST(MemoryTrainingDataTest, RandomReadAndBounds) {
 }
 
 TEST(SpillFileTest, WriteReadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/spill_roundtrip.bin";
+  const std::string path = TestTempPath("spill_roundtrip.bin");
   std::vector<RegionTrainingSet> sets{MakeSet(0, 5, 3), MakeSet(2, 1, 3),
                                       MakeSet(9, 0, 3)};
   {
@@ -94,7 +95,7 @@ TEST(SpillFileTest, EveryReadHitsTheFile) {
   // The paper's Fig. 11(a) setting: "each time they need the training data
   // from a region, they always read the data from disk" — repeated Read()
   // calls must not be cached.
-  const std::string path = ::testing::TempDir() + "/spill_reread.bin";
+  const std::string path = TestTempPath("spill_reread.bin");
   {
     auto writer = SpillFileWriter::Create(path);
     ASSERT_TRUE(writer.ok());
@@ -116,7 +117,7 @@ TEST(SpillFileTest, EveryReadHitsTheFile) {
 }
 
 TEST(SpillFileTest, OpenRejectsCorruptFile) {
-  const std::string path = ::testing::TempDir() + "/spill_bad.bin";
+  const std::string path = TestTempPath("spill_bad.bin");
   FILE* f = fopen(path.c_str(), "wb");
   fputs("not a spill file at all", f);
   fclose(f);
@@ -129,7 +130,7 @@ TEST(SpillFileTest, OpenRejectsMissingFile) {
 }
 
 TEST(SpillFileTest, SimulatedLatencySlowsReads) {
-  const std::string path = ::testing::TempDir() + "/spill_latency.bin";
+  const std::string path = TestTempPath("spill_latency.bin");
   {
     auto writer = SpillFileWriter::Create(path);
     ASSERT_TRUE(writer.ok());

@@ -7,6 +7,7 @@
 #include "table/schema.h"
 #include "table/table.h"
 #include "table/value.h"
+#include "test_util.h"
 
 namespace bellwether::table {
 namespace {
@@ -180,7 +181,7 @@ TEST(CsvTest, RoundTrip) {
   t.AppendRow({Value(int64_t{1}), Value("plain"), Value(1.25)});
   t.AppendRow({Value(int64_t{2}), Value("has,comma"), Value::Null()});
   t.AppendRow({Value(int64_t{3}), Value("has\"quote"), Value(-2.0)});
-  const std::string path = ::testing::TempDir() + "/roundtrip.csv";
+  const std::string path = TestTempPath("roundtrip.csv");
   ASSERT_TRUE(WriteCsv(t, path).ok());
   auto back = ReadCsv(path, t.schema());
   ASSERT_TRUE(back.ok());
@@ -189,7 +190,7 @@ TEST(CsvTest, RoundTrip) {
 }
 
 TEST(CsvTest, ReadRejectsBadNumbers) {
-  const std::string path = ::testing::TempDir() + "/bad.csv";
+  const std::string path = TestTempPath("bad.csv");
   FILE* f = fopen(path.c_str(), "w");
   fputs("id\nnot_a_number\n", f);
   fclose(f);

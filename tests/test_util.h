@@ -1,0 +1,48 @@
+#ifndef BELLWETHER_TESTS_TEST_UTIL_H_
+#define BELLWETHER_TESTS_TEST_UTIL_H_
+
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <string>
+
+#include "common/status.h"
+#include "robust/fault_injection.h"
+
+namespace bellwether {
+
+/// A scratch path under ::testing::TempDir() unique to the running test and
+/// process: "<suite>.<test>.<pid>.<name>". `ctest -j` runs test cases as
+/// concurrent processes, so fixed names let one case clobber another's
+/// files.
+inline std::string TestTempPath(const std::string& name) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string id = info == nullptr ? std::string("global")
+                                   : std::string(info->test_suite_name()) +
+                                         "." + info->name();
+  // Parameterized suites and cases carry '/' and spaces in their names.
+  for (char& c : id) {
+    if (c == '/' || c == ' ' || c == ',' || c == '(' || c == ')') c = '_';
+  }
+  std::string dir = ::testing::TempDir();
+  if (!dir.empty() && dir.back() != '/') dir += '/';
+  return dir + id + "." + std::to_string(getpid()) + "." + name;
+}
+
+/// Arms the default fault registry with `spec` for the enclosing scope.
+class ScopedFaults {
+ public:
+  explicit ScopedFaults(const std::string& spec) {
+    robust::FaultRegistry::Default().Disarm();
+    const Status st = robust::FaultRegistry::Default().Arm(spec);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  ~ScopedFaults() { robust::FaultRegistry::Default().Disarm(); }
+  ScopedFaults(const ScopedFaults&) = delete;
+  ScopedFaults& operator=(const ScopedFaults&) = delete;
+};
+
+}  // namespace bellwether
+
+#endif  // BELLWETHER_TESTS_TEST_UTIL_H_
