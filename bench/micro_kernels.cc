@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the kernels the bellwether
 // algorithms are built from: regression sufficient-statistics accumulation
-// and merging (Theorem 1's g and q), WLS solves, CUBE rollup, region
-// enumeration, the iceberg feasible-region search, and spill-file record
-// reads.
+// and merging (Theorem 1's g and q), WLS solves, k-fold cross-validation,
+// CUBE rollup, region enumeration, the iceberg feasible-region search, and
+// spill-file record reads.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +16,8 @@
 #include "olap/cube.h"
 #include "olap/iceberg.h"
 #include "olap/region.h"
+#include "regression/dataset.h"
+#include "regression/error.h"
 #include "regression/linear_model.h"
 #include "storage/training_data.h"
 
@@ -151,6 +153,30 @@ void BM_TrainingSseFromStats(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrainingSseFromStats);
+
+// 10-fold CV of one region's training set (§2's default error estimate):
+// n examples of an intercept plus 4 features, the shape of the scan_build
+// regions. The dataset is generated once; each iteration is one
+// CrossValidationError call, so the fold shuffle is part of the time.
+void BM_CrossValidation(benchmark::State& state) {
+  const size_t n = state.range(0);
+  const size_t p = 5;
+  Rng rng(10);
+  regression::Dataset data(p);
+  std::vector<double> x(p);
+  for (size_t i = 0; i < n; ++i) {
+    x[0] = 1.0;
+    for (size_t j = 1; j < p; ++j) x[j] = rng.NextDouble(-1, 1);
+    data.Add(x, 2.0 * x[1] - x[3] + rng.NextGaussian(0.0, 0.1));
+  }
+  Rng fold_rng(11);
+  for (auto _ : state) {
+    auto err = regression::CrossValidationError(data, 10, &fold_rng);
+    benchmark::DoNotOptimize(err);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_CrossValidation)->Arg(120)->Arg(1200)->Arg(3550);
 
 olap::RegionSpace MakeSpace(int32_t months, int32_t fanout) {
   std::vector<olap::Dimension> dims;

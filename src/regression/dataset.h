@@ -52,9 +52,6 @@ class Dataset {
   const double* y_data() const { return y_.data(); }
   const double* w_data() const { return w_.empty() ? nullptr : w_.data(); }
 
-  /// Sub-dataset containing the listed examples.
-  Dataset Subset(const std::vector<size_t>& indices) const;
-
   void Reserve(size_t n) {
     x_.reserve(n * num_features_);
     y_.reserve(n);

@@ -60,23 +60,31 @@ double NormalInverseCdf(double p) {
          ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1);
 }
 
+// Weighted SSE of the model `beta` on the examples summarized by `s`,
+// without revisiting them: Y'WY - 2 beta'X'WY + beta'X'WX beta, with the
+// quadratic form read off the packed upper triangle. Clamped at 0 against
+// floating-point cancellation, as in TrainingSse().
+double HeldOutSse(const RegressionSuffStats& s, const linalg::Vector& beta) {
+  const size_t p = s.num_features();
+  const double* tri = s.packed_xtwx().data();
+  double cross = 0.0;
+  double quad = 0.0;
+  size_t idx = 0;
+  for (size_t r = 0; r < p; ++r) {
+    double row = tri[idx++] * beta[r];
+    for (size_t c = r + 1; c < p; ++c) row += 2.0 * tri[idx++] * beta[c];
+    quad += beta[r] * row;
+    cross += beta[r] * s.xtwy()[r];
+  }
+  const double sse = s.ytwy() - 2.0 * cross + quad;
+  return sse < 0.0 ? 0.0 : sse;
+}
+
 }  // namespace
 
 double NormalQuantileTwoSided(double confidence) {
   BW_CHECK(confidence > 0.0 && confidence < 1.0);
   return NormalInverseCdf(0.5 + confidence / 2.0);
-}
-
-double EvaluateRmse(const LinearModel& model, const Dataset& data) {
-  if (data.num_examples() == 0) return 0.0;
-  double sse = 0.0;
-  double sum_w = 0.0;
-  for (size_t i = 0; i < data.num_examples(); ++i) {
-    const double e = data.y(i) - model.Predict(data.x(i));
-    sse += data.w(i) * e * e;
-    sum_w += data.w(i);
-  }
-  return sum_w > 0.0 ? std::sqrt(sse / sum_w) : 0.0;
 }
 
 Result<ErrorStats> TrainingSetError(const Dataset& data) {
@@ -105,24 +113,30 @@ Result<ErrorStats> CrossValidationError(const Dataset& data, int32_t k,
   for (size_t i = 0; i < n; ++i) order[i] = i;
   rng->Shuffle(&order);
 
+  // The folds partition the data, so by Theorem 1 each fold's statistic is
+  // summed once and every training part is the merge of the other folds.
+  const size_t p = data.num_features();
+  std::vector<RegressionSuffStats> fold_stats(folds, RegressionSuffStats(p));
+  for (size_t i = 0; i < n; ++i) {
+    const size_t e = order[i];
+    fold_stats[i % folds].Add(data.x(e), data.y(e), data.w(e));
+  }
+
   std::vector<double> fold_errors;
   fold_errors.reserve(folds);
-  std::vector<size_t> train_idx, test_idx;
+  RegressionSuffStats train(p);
   for (int32_t f = 0; f < folds; ++f) {
-    train_idx.clear();
-    test_idx.clear();
-    for (size_t i = 0; i < n; ++i) {
-      if (static_cast<int32_t>(i % folds) == f) {
-        test_idx.push_back(order[i]);
-      } else {
-        train_idx.push_back(order[i]);
-      }
+    const RegressionSuffStats& test = fold_stats[f];
+    train.Reset();
+    for (int32_t g = 0; g < folds; ++g) {
+      if (g != f) train.Merge(fold_stats[g]);
     }
-    if (test_idx.empty() || train_idx.empty()) continue;
-    const Dataset train = data.Subset(train_idx);
-    auto model = FitLeastSquares(train);
+    if (test.empty() || train.empty()) continue;
+    auto model = train.Fit();
     if (!model.ok()) continue;  // degenerate fold (e.g. collinear subset)
-    fold_errors.push_back(EvaluateRmse(*model, data.Subset(test_idx)));
+    const double sse = HeldOutSse(test, model->beta());
+    fold_errors.push_back(
+        test.sum_weights() > 0.0 ? std::sqrt(sse / test.sum_weights()) : 0.0);
   }
   if (fold_errors.empty()) {
     return Status::NumericError("no usable cross-validation fold");

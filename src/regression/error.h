@@ -36,16 +36,17 @@ struct ErrorStats {
 /// 0.95 -> 1.959964. Computed with the Acklam inverse-CDF approximation.
 double NormalQuantileTwoSided(double confidence);
 
-/// RMSE of `model` on `data` (weighted when the dataset is weighted).
-double EvaluateRmse(const LinearModel& model, const Dataset& data);
-
 /// Training-set error: fit on `data`, evaluate on `data`, with the
 /// degrees-of-freedom correction of §6.4. Cheap: one pass + one solve.
 Result<ErrorStats> TrainingSetError(const Dataset& data);
 
 /// k-fold cross-validation RMSE (§2). Deterministic for a fixed *rng: fold
-/// assignment consumes the generator. Folds with an unsolvable fit are
-/// skipped; fails when no fold is usable or data is smaller than 2 examples.
+/// assignment (one shuffle, then round-robin) consumes the generator. Each
+/// fold's sufficient statistic is accumulated once; fold f's model is fit
+/// on the merge of the other folds and its held-out SSE is computed from
+/// fold f's statistic (Theorem 1), so the rows are read once for all k
+/// folds. Folds with an unsolvable fit are skipped; fails when no fold is
+/// usable or data is smaller than 2 examples.
 Result<ErrorStats> CrossValidationError(const Dataset& data, int32_t k,
                                         Rng* rng);
 

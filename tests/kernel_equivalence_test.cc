@@ -10,6 +10,11 @@
 //  * Merge and the flat NumericAgg MergeSlice run: pure same-order
 //    additions, compared exactly.
 //  * FromComponents / xtwx() unpack-pack round trips: exact.
+//  * Algebraic k-fold cross-validation vs the copy-and-refit oracle it
+//    replaced: same folds, same RNG consumption, same skipped folds, and
+//    error values within a relative 1e-9 (the two sum the same examples in
+//    a different order, and the held-out SSE is a quadratic form instead of
+//    a sum of squared residuals).
 //
 // Determinism of *one binary* across thread counts and checkpoint resume is
 // covered by parallel_determinism_test and robust_test; these tests pin the
@@ -18,18 +23,26 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "common/status.h"
 #include "datagen/hierarchy_util.h"
 #include "linalg/matrix.h"
 #include "olap/cube.h"
 #include "olap/region.h"
+#include "regression/dataset.h"
+#include "regression/error.h"
 #include "regression/linear_model.h"
 
 namespace bellwether {
 namespace {
 
+using regression::Dataset;
+using regression::ErrorStats;
+using regression::LinearModel;
 using regression::RegressionSuffStats;
 
 // Relative bound for values that may differ only by FMA contraction
@@ -335,6 +348,242 @@ TEST(FlatRollupTest, RollupMatchesContainingRegionOracle) {
       EXPECT_LE(std::abs(got.sum - want.sum), 1e-10 * scale);
     }
   }
+}
+
+// ---- Algebraic cross-validation ----
+
+// Oracle row-gather: a new Dataset holding the listed examples.
+Dataset RefGather(const Dataset& data, const std::vector<size_t>& indices) {
+  Dataset out(data.num_features());
+  out.Reserve(indices.size());
+  std::vector<double> row(data.num_features());
+  for (size_t i : indices) {
+    row.assign(data.x(i), data.x(i) + data.num_features());
+    if (data.weighted()) {
+      out.AddWeighted(row, data.y(i), data.w(i));
+    } else {
+      out.Add(row, data.y(i));
+    }
+  }
+  return out;
+}
+
+// Oracle held-out error: weighted RMSE from the residual of every row.
+double RefEvaluateRmse(const LinearModel& model, const Dataset& data) {
+  if (data.num_examples() == 0) return 0.0;
+  double sse = 0.0;
+  double sum_w = 0.0;
+  for (size_t i = 0; i < data.num_examples(); ++i) {
+    const double e = data.y(i) - model.Predict(data.x(i));
+    sse += data.w(i) * e * e;
+    sum_w += data.w(i);
+  }
+  return sum_w > 0.0 ? std::sqrt(sse / sum_w) : 0.0;
+}
+
+// Oracle: the copy-and-refit k-fold CV that the algebraic implementation
+// replaced. Every fold copies its training part into a new Dataset, refits
+// it from rows, and scores the held-out rows one prediction at a time.
+Result<ErrorStats> RefCrossValidationError(const Dataset& data, int32_t k,
+                                           Rng* rng) {
+  BW_CHECK(rng != nullptr);
+  if (k < 2) return Status::InvalidArgument("cross-validation needs k >= 2");
+  const size_t n = data.num_examples();
+  if (n < 2) {
+    return Status::FailedPrecondition(
+        "cross-validation needs at least 2 examples");
+  }
+  const int32_t folds = std::min<int32_t>(k, static_cast<int32_t>(n));
+  // Random permutation -> round-robin fold assignment.
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  rng->Shuffle(&order);
+
+  std::vector<double> fold_errors;
+  fold_errors.reserve(folds);
+  std::vector<size_t> train_idx, test_idx;
+  for (int32_t f = 0; f < folds; ++f) {
+    train_idx.clear();
+    test_idx.clear();
+    for (size_t i = 0; i < n; ++i) {
+      if (static_cast<int32_t>(i % folds) == f) {
+        test_idx.push_back(order[i]);
+      } else {
+        train_idx.push_back(order[i]);
+      }
+    }
+    if (test_idx.empty() || train_idx.empty()) continue;
+    const Dataset train = RefGather(data, train_idx);
+    auto model = regression::FitLeastSquares(train);
+    if (!model.ok()) continue;  // degenerate fold (e.g. collinear subset)
+    fold_errors.push_back(RefEvaluateRmse(*model, RefGather(data, test_idx)));
+  }
+  if (fold_errors.empty()) {
+    return Status::NumericError("no usable cross-validation fold");
+  }
+  double mean = 0.0;
+  for (double e : fold_errors) mean += e;
+  mean /= static_cast<double>(fold_errors.size());
+  double var = 0.0;
+  for (double e : fold_errors) var += (e - mean) * (e - mean);
+  var = fold_errors.size() > 1
+            ? var / static_cast<double>(fold_errors.size() - 1)
+            : 0.0;
+  ErrorStats out;
+  out.rmse = mean;
+  out.stddev = std::sqrt(var);
+  out.num_folds = static_cast<int32_t>(fold_errors.size());
+  return out;
+}
+
+// A regression design like the bellwether layer's: intercept column, then
+// features in [-10, 10); the target is linear in them plus unit Gaussian
+// noise, so held-out errors are of order 1 against targets of order 10-100.
+Dataset RandomDataset(Rng& rng, size_t n, size_t p, bool weighted) {
+  std::vector<double> beta(p);
+  for (auto& b : beta) b = rng.NextDouble(-2, 2);
+  const std::vector<double> rows = RandomRows(rng, n, p);
+  Dataset d(p);
+  std::vector<double> x(p);
+  for (size_t i = 0; i < n; ++i) {
+    x.assign(rows.begin() + i * p, rows.begin() + (i + 1) * p);
+    double y = rng.NextGaussian();
+    for (size_t j = 0; j < p; ++j) y += beta[j] * x[j];
+    if (weighted) {
+      d.AddWeighted(x, y, rng.NextDouble(0.1, 2.0));
+    } else {
+      d.Add(x, y);
+    }
+  }
+  return d;
+}
+
+void ExpectRelClose(double got, double want, double rel, double scale,
+                    const std::string& what) {
+  EXPECT_LE(std::abs(got - want), rel * scale)
+      << what << ": " << got << " vs " << want;
+}
+
+// Runs both implementations on `data` from identically seeded generators and
+// compares status, fold count and RNG position, and — when `well_posed` —
+// the error values. The rmse is compared relative to itself. The stddev is
+// compared relative to the error scale: it is a spread of fold RMSEs, so
+// its rounding error follows the RMSEs, and when the fold errors coincide
+// (p = 1, n = 2) both implementations return rounding noise around 0.
+void ExpectMatchesOracle(const Dataset& data, int32_t k, uint64_t seed,
+                         bool well_posed, const std::string& what) {
+  Rng rng_ref(seed), rng_new(seed);
+  const auto want = RefCrossValidationError(data, k, &rng_ref);
+  const auto got = regression::CrossValidationError(data, k, &rng_new);
+  ASSERT_EQ(got.status().code(), want.status().code())
+      << what << ": " << got.status().ToString() << " vs "
+      << want.status().ToString();
+  EXPECT_EQ(rng_new.NextUint64(), rng_ref.NextUint64())
+      << what << ": generator consumed differently";
+  if (!want.ok()) return;
+  EXPECT_EQ(got->num_folds, want->num_folds) << what;
+  if (!well_posed) {
+    EXPECT_EQ(std::isfinite(got->rmse), std::isfinite(want->rmse)) << what;
+    return;
+  }
+  if (std::isnan(want->rmse)) {  // a kept fold holds a non-finite example
+    EXPECT_TRUE(std::isnan(got->rmse)) << what;
+    return;
+  }
+  const double scale = std::max({std::abs(got->rmse), std::abs(want->rmse),
+                                 std::abs(got->stddev),
+                                 std::abs(want->stddev)});
+  ExpectRelClose(got->rmse, want->rmse, 1e-9,
+                 std::max(std::abs(got->rmse), std::abs(want->rmse)),
+                 what + " rmse");
+  ExpectRelClose(got->stddev, want->stddev, 1e-9, scale, what + " stddev");
+}
+
+// Every training part of a k-fold split of n examples has at least
+// n - ceil(n / folds) of them. With fewer than p the normal equations are
+// singular and the fitted model is not unique: SolveSpd's unridged
+// Cholesky then succeeds or fails on the sign of a rounding-level pivot, so
+// any change of summation order may pick a different model. Such cases are
+// checked for status, fold count and RNG use, not for equal values.
+bool EveryTrainingPartDetermined(size_t n, size_t p, int32_t k) {
+  if (n < 2 || k < 2) return false;
+  const size_t folds = std::min(n, static_cast<size_t>(k));
+  return n - (n + folds - 1) / folds >= p;
+}
+
+class CrossValidationOracleTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(CrossValidationOracleTest, MatchesCopyAndRefitOracle) {
+  const size_t p = GetParam();
+  for (const int32_t k : {2, 5, 10}) {
+    const size_t ks = static_cast<size_t>(k);
+    for (const size_t n : {size_t{1}, size_t{2}, size_t{3}, ks - 1, ks,
+                           ks + 1, size_t{1200}}) {
+      for (const bool weighted : {false, true}) {
+        const uint64_t seed = 1000 * p + 100 * ks + n + (weighted ? 7 : 0);
+        Rng data_rng(seed);
+        const Dataset data = RandomDataset(data_rng, n, p, weighted);
+        ExpectMatchesOracle(data, k, seed, EveryTrainingPartDetermined(n, p, k),
+                            "p=" + std::to_string(p) + " k=" +
+                                std::to_string(k) + " n=" + std::to_string(n) +
+                                (weighted ? " weighted" : " unweighted"));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Arities, CrossValidationOracleTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 12));
+
+TEST(CrossValidationOracleEdgeTest, RejectsTooFewFoldsLikeOracle) {
+  Rng data_rng(5);
+  const Dataset data = RandomDataset(data_rng, 20, 3, false);
+  ExpectMatchesOracle(data, 1, 6, false, "k=1");
+  ExpectMatchesOracle(data, 0, 6, false, "k=0");
+}
+
+// The second feature is non-zero in exactly one example, so the training
+// part of the fold holding it has an all-zero column (rank-deficient X'WX).
+// Both implementations must treat that fold alike: same fold count, same
+// errors.
+TEST(CrossValidationOracleEdgeTest, RankDeficientTrainingPartMatchesOracle) {
+  for (const bool weighted : {false, true}) {
+    Rng rng(77);
+    const size_t n = 60, p = 3;
+    Dataset data(p);
+    const size_t lone = 17;
+    for (size_t i = 0; i < n; ++i) {
+      const std::vector<double> x = {1.0, i == lone ? 4.0 : 0.0,
+                                     rng.NextDouble(-10, 10)};
+      const double y = 2.0 + 3.0 * x[1] - 0.5 * x[2] + rng.NextGaussian();
+      if (weighted) {
+        data.AddWeighted(x, y, rng.NextDouble(0.1, 2.0));
+      } else {
+        data.Add(x, y);
+      }
+    }
+    ExpectMatchesOracle(data, 10, 78, true,
+                        weighted ? "weighted" : "unweighted");
+  }
+}
+
+// A NaN feature in one example makes every training part that contains it
+// unsolvable, so exactly one fold survives in both implementations (and its
+// held-out error is NaN in both).
+TEST(CrossValidationOracleEdgeTest, UnsolvableTrainingPartsAreSkippedLikeOracle) {
+  Rng data_rng(91);
+  Dataset data = RandomDataset(data_rng, 40, 3, false);
+  Dataset poisoned(3);
+  for (size_t i = 0; i < data.num_examples(); ++i) {
+    std::vector<double> x(data.x(i), data.x(i) + 3);
+    if (i == 11) x[2] = std::numeric_limits<double>::quiet_NaN();
+    poisoned.Add(x, data.y(i));
+  }
+  ExpectMatchesOracle(poisoned, 10, 92, true, "NaN feature");
+  Rng rng(92);
+  const auto got = regression::CrossValidationError(poisoned, 10, &rng);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->num_folds, 1);
 }
 
 }  // namespace

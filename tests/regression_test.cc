@@ -40,13 +40,6 @@ TEST(DatasetTest, AddAndAccess) {
   EXPECT_DOUBLE_EQ(d.w(2), 1.0);
 }
 
-TEST(DatasetTest, Subset) {
-  Dataset d = MakeExactLinear();
-  Dataset s = d.Subset({0, 4});
-  EXPECT_EQ(s.num_examples(), 2u);
-  EXPECT_DOUBLE_EQ(s.y(1), 11.0);
-}
-
 TEST(LinearModelTest, ExactRecovery) {
   auto model = FitLeastSquares(MakeExactLinear());
   ASSERT_TRUE(model.ok());
@@ -227,14 +220,6 @@ TEST(ErrorTest, CvRejectsTinyInputs) {
   d.Add({1.0}, 1.0);
   Rng rng(1);
   EXPECT_FALSE(CrossValidationError(d, 10, &rng).ok());
-}
-
-TEST(ErrorTest, EvaluateRmseKnownValue) {
-  LinearModel model({0.0, 1.0});  // y_hat = x
-  Dataset d(2);
-  d.Add({1.0, 1.0}, 2.0);  // error 1
-  d.Add({1.0, 2.0}, 2.0);  // error 0
-  EXPECT_NEAR(EvaluateRmse(model, d), std::sqrt(0.5), 1e-12);
 }
 
 }  // namespace
