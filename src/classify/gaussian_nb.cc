@@ -72,31 +72,6 @@ void NbSuffStats::Add(const double* x, int32_t y) {
   }
 }
 
-void NbSuffStats::Merge(const NbSuffStats& other) {
-  if (other.empty()) return;
-  if (empty() && num_classes_ == 0) {
-    *this = other;
-    return;
-  }
-  BW_CHECK(num_features_ == other.num_features_ &&
-           num_classes_ == other.num_classes_);
-  n_ += other.n_;
-  for (int32_t c = 0; c < num_classes_; ++c) {
-    class_count_[c] += other.class_count_[c];
-  }
-  for (size_t k = 0; k < sum_.size(); ++k) {
-    sum_[k] += other.sum_[k];
-    sum_sq_[k] += other.sum_sq_[k];
-  }
-}
-
-void NbSuffStats::Reset() {
-  n_ = 0;
-  std::fill(class_count_.begin(), class_count_.end(), 0);
-  std::fill(sum_.begin(), sum_.end(), 0.0);
-  std::fill(sum_sq_.begin(), sum_sq_.end(), 0.0);
-}
-
 Result<GaussianNbModel> NbSuffStats::Fit() const {
   if (n_ == 0) {
     return Status::FailedPrecondition("cannot fit NB on 0 examples");

@@ -42,8 +42,8 @@ class GaussianNbModel {
 };
 
 /// Algebraic sufficient statistics of a Gaussian NB model: per (class,
-/// feature) count/sum/sum-of-squares. Fixed size; merging is element-wise
-/// addition, so per-subset statistics roll up through cube lattices.
+/// feature) count/sum/sum-of-squares, of fixed size whatever the number of
+/// examples added.
 class NbSuffStats {
  public:
   NbSuffStats() = default;
@@ -56,11 +56,6 @@ class NbSuffStats {
 
   /// Accumulates one example with class label y in [0, num_classes).
   void Add(const double* x, int32_t y);
-
-  /// Element-wise merge; arities must match (or *this may be default-empty).
-  void Merge(const NbSuffStats& other);
-
-  void Reset();
 
   /// Fits the model; fails when no class has an example. Variances are
   /// floored at a small fraction of the feature's global variance to keep

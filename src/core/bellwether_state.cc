@@ -210,14 +210,12 @@ Status BellwetherState::IngestScan(storage::TrainingDataSource* source) {
     return Status::OK();
   };
 
-  std::vector<RegressionSuffStats> stats;
   int64_t region_pos = 0;
 
-  // Tail work of one *merged* region, shared by the serial and parallel
-  // paths: count it, save a checkpoint on the configured cadence, and honor
-  // the injected-crash fault. In the parallel build this runs in ascending
-  // region order on the scan thread, so checkpoint contents and crash
-  // arrival counts are bit-identical to the serial build.
+  // Tail work of one merged region: count it, save a checkpoint on the
+  // configured cadence, and honor the injected-crash fault. It runs in
+  // ascending region order on the scan thread, so checkpoint contents and
+  // crash arrival counts are the same for every thread count.
   auto finish_region = [&]() -> Status {
     ++region_pos;
     if (checkpointing &&
@@ -233,92 +231,70 @@ Status BellwetherState::IngestScan(storage::TrainingDataSource* source) {
     return Status::OK();
   };
 
+  // Each region's per-subset <MinError, Size> accumulators are computed by
+  // one task (inline without a pool) and offered to the picks in scan order:
+  // the same Offer() sequence for every thread count, so cube cells,
+  // checkpoints and crash points are bit-identical. The buffers outlive the
+  // pool, whose destructor drains any task still queued when the scan fails.
+  struct RegionCubeStats {
+    olap::RegionId region = olap::kInvalidRegion;
+    std::vector<RegressionSuffStats> stats;  // per significant subset
+    std::vector<double> error;
+  };
+  const auto compute = [this, &config](const RegionTrainingSet& set,
+                                       RegionCubeStats* r) {
+    r->region = set.region;
+    if (r->stats.empty() ||
+        r->stats[0].num_features() != static_cast<size_t>(set.num_features)) {
+      r->stats.assign(significant_.size(),
+                      RegressionSuffStats(set.num_features));
+      r->error.resize(significant_.size());
+    } else {
+      for (RegressionSuffStats& s : r->stats) s.Reset();
+    }
+    FoldRows(set, &r->stats);
+    for (size_t k = 0; k < significant_.size(); ++k) {
+      r->error[k] =
+          TrainingErrorOfStats(r->stats[k], config.min_examples_per_model);
+    }
+    return r;
+  };
+  exec::FreeList<RegionCubeStats> buffers;
   const int32_t num_threads = exec::ResolveNumThreads(config.exec.num_threads);
   std::unique_ptr<exec::ThreadPool> pool;
   if (num_threads > 1) pool = std::make_unique<exec::ThreadPool>(num_threads);
-  Status scan_status;
-  if (pool == nullptr) {
-    scan_status = source->Scan([&](const RegionTrainingSet& set) -> Status {
-      // Fast-forward past regions a resumed checkpoint already accounts for
-      // (the physical scan still delivers them; their compute is skipped).
-      if (region_pos < resume_from) {
-        ++region_pos;
-        return Status::OK();
-      }
-      if (stats.empty()) {
-        stats.assign(significant_.size(),
-                     RegressionSuffStats(set.num_features));
-      } else {
-        for (auto& s : stats) s.Reset();
-      }
-      // "Build a model h_r on r for S" for every significant subset S: each
-      // row contributes to every containing subset's statistics directly.
-      for (size_t row = 0; row < set.num_examples(); ++row) {
-        for (int32_t k : containing_[set.items[row]]) {
-          stats[k].Add(set.row(row), set.targets[row], set.weight(row));
+  exec::MergeInSubmissionOrder<RegionCubeStats*> reducer(
+      pool.get(), /*max_outstanding=*/2 * static_cast<size_t>(num_threads),
+      "cube.scan_merge", [&](size_t, RegionCubeStats* r) -> Status {
+        for (size_t k = 0; k < significant_.size(); ++k) {
+          picks_[k].Offer(r->error[k], r->region, r->stats[k]);
         }
-      }
-      for (size_t k = 0; k < significant_.size(); ++k) {
-        picks_[k].Offer(
-            TrainingErrorOfStats(stats[k], config.min_examples_per_model),
-            set.region, stats[k]);
-      }
-      return finish_region();
-    });
-  } else {
-    // Parallel path: each region's per-subset <MinError, Size> accumulators
-    // are computed on a worker from a private copy of the training set (row
-    // order, and hence every floating-point accumulation, matches the serial
-    // loop exactly), then offered to the shared picks in scan order — the
-    // same Offer() sequence the serial loop performs, so cube cells,
-    // checkpoints, and crash points are bit-identical for any thread count.
-    struct RegionCubeStats {
-      olap::RegionId region = olap::kInvalidRegion;
-      std::vector<RegressionSuffStats> stats;  // per significant subset
-      std::vector<double> error;
-    };
-    int64_t scan_pos = 0;
-    exec::MergeInSubmissionOrder<RegionCubeStats> reducer(
-        pool.get(), /*max_outstanding=*/2 * static_cast<size_t>(num_threads),
-        "cube.scan_merge", [&](size_t, RegionCubeStats r) -> Status {
-          for (size_t k = 0; k < significant_.size(); ++k) {
-            picks_[k].Offer(r.error[k], r.region, r.stats[k]);
-          }
-          return finish_region();
-        });
-    scan_status = source->Scan([&](const RegionTrainingSet& set) -> Status {
-      if (scan_pos < resume_from) {
-        // The resume skip is a strict prefix of the scan, before anything
-        // was submitted to the pool, so the merge-side region counter can
-        // be advanced inline.
+        buffers.Release(r);
+        return finish_region();
+      });
+  int64_t scan_pos = 0;
+  BW_RETURN_IF_ERROR(
+      source->Scan([&](const RegionTrainingSet& set) -> Status {
+        if (scan_pos < resume_from) {
+          // Fast-forward past regions a resumed checkpoint already accounts
+          // for (the physical scan still delivers them). The skip is a
+          // strict prefix of the scan, before anything was submitted, so
+          // the merge-side region counter can be advanced inline.
+          ++scan_pos;
+          ++region_pos;
+          return Status::OK();
+        }
         ++scan_pos;
-        ++region_pos;
-        return Status::OK();
-      }
-      ++scan_pos;
-      return reducer.Submit(
-          [this, &config, set = set]() {
-            RegionCubeStats r;
-            r.region = set.region;
-            r.stats.assign(significant_.size(),
-                           RegressionSuffStats(set.num_features));
-            for (size_t row = 0; row < set.num_examples(); ++row) {
-              for (int32_t k : containing_[set.items[row]]) {
-                r.stats[k].Add(set.row(row), set.targets[row],
-                               set.weight(row));
-              }
-            }
-            r.error.resize(significant_.size());
-            for (size_t k = 0; k < significant_.size(); ++k) {
-              r.error[k] = TrainingErrorOfStats(
-                  r.stats[k], config.min_examples_per_model);
-            }
-            return r;
-          });
-    });
-    if (scan_status.ok()) scan_status = reducer.Finish();
-  }
-  BW_RETURN_IF_ERROR(scan_status);
+        RegionCubeStats* r = buffers.Acquire();
+        if (reducer.parallel()) {
+          // The visited set is only valid during this callback; the task
+          // owns a copy.
+          return reducer.Submit(
+              [compute, r, copy = set]() { return compute(copy, r); });
+        }
+        return reducer.Submit([&]() { return compute(set, r); });
+      }));
+  BW_RETURN_IF_ERROR(reducer.Finish());
   if (checkpointing) {
     // Final state, in case the region count is not a multiple of the
     // checkpoint interval.
@@ -340,6 +316,15 @@ BellwetherState::RegionSlot& BellwetherState::SlotFor(olap::RegionId region,
     slot.rows.num_features = num_features;
   }
   return slot;
+}
+
+void BellwetherState::FoldRows(const RegionTrainingSet& set,
+                               std::vector<RegressionSuffStats>* stats) const {
+  for (size_t row = 0; row < set.num_examples(); ++row) {
+    for (int32_t k : containing_[set.items[row]]) {
+      (*stats)[k].Add(set.row(row), set.targets[row], set.weight(row));
+    }
+  }
 }
 
 Status BellwetherState::ValidateDeltaBatch(
@@ -427,7 +412,7 @@ Status BellwetherState::ApplyDelta(std::vector<RegionTrainingSet> batch) {
           RegionSlot& slot = *d.slot;
           for (size_t t = 0; t < d.touched.size(); ++t) {
             const int32_t k = d.touched[t];
-            slot.stats[k] = std::move(d.stats[t]);
+            slot.stats[k] = std::move(d.stats[k]);
             slot.errors[k] = d.errors[t];
             dirty_.Mark(significant_[k]);
           }
@@ -456,36 +441,24 @@ Status BellwetherState::ApplyDelta(std::vector<RegionTrainingSet> batch) {
         d.slot = slot;
         d.set = std::move(*owned);
         const size_t nsig = significant_.size();
-        std::vector<uint8_t> seen(nsig, 0);
-        for (size_t r = 0; r < d.set.num_examples(); ++r) {
-          for (int32_t k : containing_[d.set.items[r]]) {
-            if (!seen[k]) {
-              seen[k] = 1;
-              d.touched.push_back(k);
-            }
+        // The touched subsets start from the slot's statistics (arity 0
+        // until first touched) and fold the new rows on top.
+        d.stats.resize(nsig);
+        for (int32_t item : d.set.items) {
+          for (int32_t k : containing_[item]) {
+            if (d.stats[k].num_features() != 0) continue;
+            d.stats[k] = slot->stats[k].num_features() != 0
+                             ? slot->stats[k]
+                             : RegressionSuffStats(d.set.num_features);
+            d.touched.push_back(k);
           }
         }
         std::sort(d.touched.begin(), d.touched.end());
-        std::vector<int32_t> local(nsig, -1);
-        d.stats.reserve(d.touched.size());
-        for (size_t t = 0; t < d.touched.size(); ++t) {
-          local[d.touched[t]] = static_cast<int32_t>(t);
-          RegressionSuffStats s = slot->stats[d.touched[t]];
-          if (s.num_features() == 0) {
-            s = RegressionSuffStats(d.set.num_features);
-          }
-          d.stats.push_back(std::move(s));
-        }
-        for (size_t r = 0; r < d.set.num_examples(); ++r) {
-          for (int32_t k : containing_[d.set.items[r]]) {
-            d.stats[local[k]].Add(d.set.row(r), d.set.targets[r],
-                                  d.set.weight(r));
-          }
-        }
+        FoldRows(d.set, &d.stats);
         d.errors.reserve(d.touched.size());
-        for (const RegressionSuffStats& s : d.stats) {
+        for (int32_t k : d.touched) {
           d.errors.push_back(
-              TrainingErrorOfStats(s, config.min_examples_per_model));
+              TrainingErrorOfStats(d.stats[k], config.min_examples_per_model));
         }
         return d;
       });
@@ -839,34 +812,6 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::DeserializeFrom(
   // (finalized_once_ is false), which is deterministic from the restored
   // statistics and rows — so kill/reopen converges bit for bit.
   return state;
-}
-
-StateDeltaSink::StateDeltaSink(BellwetherState* state, size_t sets_per_batch)
-    : state_(state), sets_per_batch_(sets_per_batch < 1 ? 1 : sets_per_batch) {}
-
-Status StateDeltaSink::Append(RegionTrainingSet&& set) {
-  buffered_bytes_ += set.ByteSize();
-  NoteAppend(set, buffered_bytes_);
-  buffer_.push_back(std::move(set));
-  if (buffer_.size() >= sets_per_batch_) return Flush();
-  return Status::OK();
-}
-
-Status StateDeltaSink::Flush() {
-  if (buffer_.empty()) return Status::OK();
-  std::vector<RegionTrainingSet> batch;
-  batch.swap(buffer_);
-  buffered_bytes_ = 0;
-  return state_->ApplyDelta(std::move(batch));
-}
-
-Result<std::unique_ptr<storage::TrainingDataSource>> StateDeltaSink::Finish() {
-  BW_RETURN_IF_ERROR(CheckOrdering());
-  BW_RETURN_IF_ERROR(Flush());
-  std::unique_ptr<storage::TrainingDataSource> empty =
-      std::make_unique<storage::MemoryTrainingData>(
-          std::vector<RegionTrainingSet>{});
-  return empty;
 }
 
 }  // namespace bellwether::core

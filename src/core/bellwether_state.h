@@ -14,7 +14,6 @@
 #include "core/cube_build_internal.h"
 #include "olap/dirty.h"
 #include "storage/training_data.h"
-#include "storage/training_data_sink.h"
 
 namespace bellwether {
 class ChecksummedReader;
@@ -166,6 +165,12 @@ class BellwetherState {
   BellwetherState() = default;
 
   RegionSlot& SlotFor(olap::RegionId region, int32_t num_features);
+  /// Adds each row of `set`, in row order, to the statistics of every
+  /// significant subset containing its item: "build a model h_r on r for S"
+  /// for every S at once. `stats` is indexed by significant index. The one
+  /// fold IngestScan and ApplyDelta share.
+  void FoldRows(const storage::RegionTrainingSet& set,
+                std::vector<regression::RegressionSuffStats>* stats) const;
   Status ValidateDeltaBatch(
       const std::vector<storage::RegionTrainingSet>& batch) const;
   internal::RegionRowsVisitor SlotRowsVisitor() const;
@@ -198,28 +203,6 @@ class BellwetherState {
   storage::TrainingDataSource* scan_source_ = nullptr;
   bool scanned_ = false;
   CubeBuildTelemetry telemetry_;
-};
-
-/// TrainingDataSink adapter over an incremental BellwetherState: producers
-/// (e.g. streaming training-data generation) append region sets in the
-/// usual ascending order and the sink folds them into the state as delta
-/// batches of `sets_per_batch` regions. Finish() flushes the remainder and
-/// returns an *empty* source — the rows live in the state, which is the
-/// point: build once, then keep it fresh.
-class StateDeltaSink final : public storage::TrainingDataSink {
- public:
-  explicit StateDeltaSink(BellwetherState* state, size_t sets_per_batch = 64);
-
-  Status Append(storage::RegionTrainingSet&& set) override;
-  Result<std::unique_ptr<storage::TrainingDataSource>> Finish() override;
-
- private:
-  Status Flush();
-
-  BellwetherState* state_;
-  size_t sets_per_batch_;
-  std::vector<storage::RegionTrainingSet> buffer_;
-  size_t buffered_bytes_ = 0;
 };
 
 }  // namespace bellwether::core

@@ -24,14 +24,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 using regression::RegressionSuffStats;
 using storage::RegionTrainingSet;
 
-// Error(.) both builders optimize: TrainingErrorOfStats from eval_util,
-// deterministic so that Lemma 1 holds exactly (cross-validated errors would
-// depend on fold RNG consumption order).
-double ErrorOfStats(const RegressionSuffStats& stats, int32_t min_examples) {
-  return TrainingErrorOfStats(stats, min_examples);
-}
-
 // Best (minimum-error) region for an item subset, tracked across a scan.
+// Both builders score a region by TrainingErrorOfStats (eval_util), which is
+// deterministic, so Lemma 1 holds exactly; cross-validated errors would
+// depend on the order the folds consume the RNG.
 struct BellwetherPick {
   double error = kInf;
   olap::RegionId region = olap::kInvalidRegion;
@@ -228,8 +224,7 @@ Result<std::shared_ptr<ItemSplitFeatures>> ItemSplitFeatures::Create(
 }
 
 int32_t BellwetherTree::NumLevels() const {
-  // Count only nodes reachable from the root: pruning detaches subtrees
-  // without compacting the node vector.
+  // Count only nodes reachable from the root.
   int32_t levels = 0;
   std::vector<int32_t> stack{0};
   while (!stack.empty()) {
@@ -472,7 +467,7 @@ Result<BellwetherTree> BuildBellwetherTreeNaive(
           stats.Add(set.row(row), set.targets[row], set.weight(row));
         }
       }
-      self.Offer(ErrorOfStats(stats, config.min_examples_per_model),
+      self.Offer(TrainingErrorOfStats(stats, config.min_examples_per_model),
                  set.region, stats);
     }
 
@@ -509,7 +504,8 @@ Result<BellwetherTree> BuildBellwetherTreeNaive(
           for (int32_t p = 0; p < crit.num_partitions; ++p) {
             min_error[c][p] = std::min(
                 min_error[c][p],
-                ErrorOfStats(part_stats[p], config.min_examples_per_model));
+                TrainingErrorOfStats(part_stats[p],
+                                     config.min_examples_per_model));
           }
         }
         // Restore plain membership for the next candidate.
@@ -565,10 +561,17 @@ Result<BellwetherTree> BuildBellwetherTreeRainForest(
   struct NodeEval {
     bool active = false;
     std::vector<SplitCriterion> candidates;
-    RegressionSuffStats self_stats;                       // current region
-    std::vector<std::vector<RegressionSuffStats>> part;   // [cand][partition]
     BellwetherPick self;
-    std::vector<std::vector<double>> min_error;           // [cand][partition]
+    std::vector<std::vector<double>> min_error;  // [cand][partition]
+  };
+  // One region's statistics and errors for every node of the level.
+  struct RegionLevelStats {
+    olap::RegionId region = olap::kInvalidRegion;
+    int32_t num_features = -1;  // arity the statistics are sized for
+    std::vector<RegressionSuffStats> self_stats;                      // [v]
+    std::vector<std::vector<std::vector<RegressionSuffStats>>> part;  // [v][c][p]
+    std::vector<double> self_error;                                   // [v]
+    std::vector<std::vector<std::vector<double>>> part_error;         // [v][c][p]
   };
 
   while (!level.empty()) {
@@ -605,144 +608,99 @@ Result<BellwetherTree> BuildBellwetherTreeRainForest(
     }
     telemetry.suff_stats_peak =
         std::max(telemetry.suff_stats_peak, level_stats);
-    // The pool is created per level, *after* the level state the worker
-    // tasks reference: if the scan aborts mid-level, the pool's destructor
-    // (or the explicit Wait below) drains the queued tasks while `evals` and
-    // `node_of_item` are still alive.
+
+    // A region's level statistics: the node's own statistic and one per
+    // candidate partition, accumulated in row order, then their errors.
+    const auto compute = [&feats, &evals, &node_of_item, &config, width](
+                             const RegionTrainingSet& set,
+                             RegionLevelStats* r) {
+      r->region = set.region;
+      if (r->num_features != set.num_features) {
+        r->num_features = set.num_features;
+        r->self_stats.assign(width, RegressionSuffStats(set.num_features));
+        r->self_error.assign(width, kInf);
+        r->part.resize(width);
+        r->part_error.resize(width);
+        for (size_t v = 0; v < width; ++v) {
+          const NodeEval& e = evals[v];
+          r->part[v].resize(e.candidates.size());
+          r->part_error[v].resize(e.candidates.size());
+          for (size_t c = 0; c < e.candidates.size(); ++c) {
+            r->part[v][c].assign(e.candidates[c].num_partitions,
+                                 RegressionSuffStats(set.num_features));
+            r->part_error[v][c].assign(e.candidates[c].num_partitions, kInf);
+          }
+        }
+      } else {
+        for (size_t v = 0; v < width; ++v) {
+          r->self_stats[v].Reset();
+          for (auto& ps : r->part[v]) {
+            for (auto& st : ps) st.Reset();
+          }
+        }
+      }
+      for (size_t row = 0; row < set.num_examples(); ++row) {
+        const int32_t v = node_of_item[set.items[row]];
+        if (v < 0) continue;
+        const NodeEval& e = evals[v];
+        r->self_stats[v].Add(set.row(row), set.targets[row], set.weight(row));
+        for (size_t c = 0; c < e.candidates.size(); ++c) {
+          const int32_t p = e.candidates[c].PartitionOf(*feats, set.items[row]);
+          if (p >= 0) {
+            r->part[v][c][p].Add(set.row(row), set.targets[row],
+                                 set.weight(row));
+          }
+        }
+      }
+      for (size_t v = 0; v < width; ++v) {
+        r->self_error[v] = TrainingErrorOfStats(r->self_stats[v],
+                                                config.min_examples_per_model);
+        for (size_t c = 0; c < r->part[v].size(); ++c) {
+          for (size_t p = 0; p < r->part[v][c].size(); ++p) {
+            r->part_error[v][c][p] = TrainingErrorOfStats(
+                r->part[v][c][p], config.min_examples_per_model);
+          }
+        }
+      }
+      return r;
+    };
+
+    // Each region is computed by one task (inline without a pool) and
+    // folded into the level state in scan order: the same Offer()/min()
+    // sequence for every thread count, so the tree is bit-identical. The
+    // buffers and the level state outlive the pool, whose destructor drains
+    // any task still queued when the scan fails.
+    exec::FreeList<RegionLevelStats> buffers;
     std::unique_ptr<exec::ThreadPool> pool;
     if (num_threads > 1) pool = std::make_unique<exec::ThreadPool>(num_threads);
-    Status scan_status;
-    if (pool == nullptr) {
-      bool stats_sized = false;
-      scan_status = source->Scan([&](const RegionTrainingSet& set) -> Status {
-        if (!stats_sized) {
-          stats_sized = true;
-          for (auto& e : evals) {
-            e.self_stats = RegressionSuffStats(set.num_features);
-            e.part.resize(e.candidates.size());
-            for (size_t c = 0; c < e.candidates.size(); ++c) {
-              e.part[c].assign(e.candidates[c].num_partitions,
-                               RegressionSuffStats(set.num_features));
-            }
-          }
-        } else {
-          for (auto& e : evals) {
-            e.self_stats.Reset();
-            for (auto& ps : e.part) {
-              for (auto& st : ps) st.Reset();
-            }
-          }
-        }
-        for (size_t row = 0; row < set.num_examples(); ++row) {
-          const int32_t v = node_of_item[set.items[row]];
-          if (v < 0) continue;
-          NodeEval& e = evals[v];
-          e.self_stats.Add(set.row(row), set.targets[row], set.weight(row));
-          for (size_t c = 0; c < e.candidates.size(); ++c) {
-            const int32_t p =
-                e.candidates[c].PartitionOf(*feats, set.items[row]);
-            if (p >= 0) e.part[c][p].Add(set.row(row), set.targets[row], set.weight(row));
-          }
-        }
-        for (auto& e : evals) {
-          e.self.Offer(
-              ErrorOfStats(e.self_stats, config.min_examples_per_model),
-              set.region, e.self_stats);
-          for (size_t c = 0; c < e.candidates.size(); ++c) {
-            for (size_t p = 0; p < e.part[c].size(); ++p) {
-              e.min_error[c][p] = std::min(
-                  e.min_error[c][p],
-                  ErrorOfStats(e.part[c][p], config.min_examples_per_model));
-            }
-          }
-        }
-        return Status::OK();
-      });
-    } else {
-      // Parallel path: each region's level statistics are computed on a
-      // worker from a private copy of the training set (row order, and hence
-      // every floating-point accumulation, matches the serial loop exactly),
-      // then folded into the level state in scan order — the same
-      // Offer()/min() sequence the serial loop performs, so the resulting
-      // tree is bit-identical for every thread count.
-      struct RegionLevelStats {
-        olap::RegionId region = olap::kInvalidRegion;
-        std::vector<RegressionSuffStats> self_stats;               // [v]
-        std::vector<double> self_error;                            // [v]
-        std::vector<std::vector<std::vector<double>>> part_error;  // [v][c][p]
-      };
-      exec::MergeInSubmissionOrder<RegionLevelStats> reducer(
-          pool.get(),
-          /*max_outstanding=*/2 * static_cast<size_t>(num_threads),
-          "tree.level_scan", [&](size_t, RegionLevelStats r) -> Status {
-            for (size_t v = 0; v < width; ++v) {
-              NodeEval& e = evals[v];
-              e.self.Offer(r.self_error[v], r.region, r.self_stats[v]);
-              for (size_t c = 0; c < e.min_error.size(); ++c) {
-                for (size_t p = 0; p < e.min_error[c].size(); ++p) {
-                  e.min_error[c][p] =
-                      std::min(e.min_error[c][p], r.part_error[v][c][p]);
-                }
-              }
-            }
-            return Status::OK();
-          });
-      scan_status = source->Scan([&](const RegionTrainingSet& set) -> Status {
-        return reducer.Submit([&feats, &evals, &node_of_item, &config, width,
-                               set = set]() {
-          RegionLevelStats r;
-          r.region = set.region;
-          r.self_stats.assign(width, RegressionSuffStats(set.num_features));
-          r.self_error.assign(width, 0.0);
-          r.part_error.resize(width);
-          std::vector<std::vector<std::vector<RegressionSuffStats>>> part(
-              width);
+    exec::MergeInSubmissionOrder<RegionLevelStats*> reducer(
+        pool.get(), /*max_outstanding=*/2 * static_cast<size_t>(num_threads),
+        "tree.level_scan", [&](size_t, RegionLevelStats* r) -> Status {
           for (size_t v = 0; v < width; ++v) {
-            const NodeEval& e = evals[v];
-            part[v].resize(e.candidates.size());
-            r.part_error[v].resize(e.candidates.size());
-            for (size_t c = 0; c < e.candidates.size(); ++c) {
-              part[v][c].assign(e.candidates[c].num_partitions,
-                                RegressionSuffStats(set.num_features));
-              r.part_error[v][c].assign(e.candidates[c].num_partitions, kInf);
-            }
-          }
-          for (size_t row = 0; row < set.num_examples(); ++row) {
-            const int32_t v = node_of_item[set.items[row]];
-            if (v < 0) continue;
-            const NodeEval& e = evals[v];
-            r.self_stats[v].Add(set.row(row), set.targets[row],
-                                set.weight(row));
-            for (size_t c = 0; c < e.candidates.size(); ++c) {
-              const int32_t p =
-                  e.candidates[c].PartitionOf(*feats, set.items[row]);
-              if (p >= 0) {
-                part[v][c][p].Add(set.row(row), set.targets[row],
-                                  set.weight(row));
+            NodeEval& e = evals[v];
+            e.self.Offer(r->self_error[v], r->region, r->self_stats[v]);
+            for (size_t c = 0; c < e.min_error.size(); ++c) {
+              for (size_t p = 0; p < e.min_error[c].size(); ++p) {
+                e.min_error[c][p] =
+                    std::min(e.min_error[c][p], r->part_error[v][c][p]);
               }
             }
           }
-          for (size_t v = 0; v < width; ++v) {
-            r.self_error[v] =
-                ErrorOfStats(r.self_stats[v], config.min_examples_per_model);
-            for (size_t c = 0; c < part[v].size(); ++c) {
-              for (size_t p = 0; p < part[v][c].size(); ++p) {
-                r.part_error[v][c][p] =
-                    ErrorOfStats(part[v][c][p], config.min_examples_per_model);
-              }
-            }
-          }
-          return r;
+          buffers.Release(r);
+          return Status::OK();
         });
-      });
-      if (scan_status.ok()) scan_status = reducer.Finish();
-    }
-    if (!scan_status.ok()) {
-      // Queued tasks reference this level's state; drain them before the
-      // early return unwinds it.
-      if (pool != nullptr) pool->Wait();
-      return scan_status;
-    }
+    BW_RETURN_IF_ERROR(
+        source->Scan([&](const RegionTrainingSet& set) -> Status {
+          RegionLevelStats* r = buffers.Acquire();
+          if (reducer.parallel()) {
+            // The visited set is only valid during this callback; the task
+            // owns a copy.
+            return reducer.Submit(
+                [compute, r, copy = set]() { return compute(copy, r); });
+          }
+          return reducer.Submit([&]() { return compute(set, r); });
+        }));
+    BW_RETURN_IF_ERROR(reducer.Finish());
     level_span.End();
     Metrics().level_scan_seconds->Observe(level_watch.ElapsedSeconds());
 
@@ -778,52 +736,6 @@ Result<BellwetherTree> BuildBellwetherTreeRainForest(
   tree.set_build_telemetry(telemetry);
   FillTreeReport("tree_rainforest", config, telemetry, &tree);
   return tree;
-}
-
-int32_t PruneBellwetherTree(BellwetherTree* tree, double complexity_alpha) {
-  // Bottom-up cost-complexity pruning on the construction-time errors:
-  // collapse a split when the subtree's weighted leaf error plus the
-  // complexity charge per retained leaf is no better than the node's own
-  // error. Children always have larger indices than their parent (BFS
-  // construction), so a reverse pass is bottom-up.
-  auto& nodes = tree->mutable_nodes();
-  std::vector<double> subtree_cost(nodes.size(), 0.0);
-  std::vector<int32_t> subtree_leaves(nodes.size(), 1);
-  int32_t pruned = 0;
-  for (size_t idx = nodes.size(); idx-- > 0;) {
-    TreeNode& n = nodes[idx];
-    if (n.is_leaf()) {
-      subtree_cost[idx] = n.has_model ? n.num_items * n.error : 0.0;
-      subtree_leaves[idx] = 1;
-      continue;
-    }
-    double children_cost = 0.0;
-    int32_t children_leaves = 0;
-    for (int32_t c : n.children) {
-      const TreeNode& child = nodes[c];
-      if (child.num_items == 0) continue;
-      if (!child.has_model && child.is_leaf()) {
-        // These items fall back to this node's model at prediction time.
-        children_cost += n.has_model ? child.num_items * n.error : 0.0;
-        continue;
-      }
-      children_cost += subtree_cost[c];
-      children_leaves += subtree_leaves[c];
-    }
-    const double own_cost = n.has_model ? n.num_items * n.error : 0.0;
-    if (n.has_model &&
-        own_cost <= children_cost + complexity_alpha * children_leaves) {
-      n.children.clear();
-      n.goodness = 0.0;
-      ++pruned;
-      subtree_cost[idx] = own_cost;
-      subtree_leaves[idx] = 1;
-    } else {
-      subtree_cost[idx] = children_cost;
-      subtree_leaves[idx] = std::max(children_leaves, 1);
-    }
-  }
-  return pruned;
 }
 
 }  // namespace bellwether::core

@@ -121,8 +121,6 @@ class BellwetherTree {
       : features_(std::move(features)), nodes_(std::move(nodes)) {}
 
   const std::vector<TreeNode>& nodes() const { return nodes_; }
-  /// Mutable access for post-construction pruning.
-  std::vector<TreeNode>& mutable_nodes() { return nodes_; }
   const TreeNode& root() const { return nodes_[0]; }
   const ItemSplitFeatures& features() const { return *features_; }
 
@@ -200,12 +198,6 @@ Result<BellwetherTree> BuildBellwetherTreeRainForest(
     storage::TrainingDataSource* source, const table::Table& item_table,
     const TreeBuildConfig& config,
     const std::vector<uint8_t>* item_mask = nullptr);
-
-/// Post-construction pruning: repeatedly converts an internal node to a leaf
-/// when the split's error reduction does not exceed `complexity_alpha` per
-/// pruned node (cost-complexity style; alpha = 0 removes only splits with
-/// non-positive realized goodness). Returns the number of nodes removed.
-int32_t PruneBellwetherTree(BellwetherTree* tree, double complexity_alpha);
 
 }  // namespace bellwether::core
 

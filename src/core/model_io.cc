@@ -14,7 +14,6 @@ namespace bellwether::core {
 
 namespace {
 
-constexpr const char* kLinearMagic = "bellwether-linear-v1";
 constexpr const char* kTreeMagic = "bellwether-tree-v2";
 constexpr const char* kCubeMagic = "bellwether-cube-v2";
 constexpr const char* kStateMagic = "bellwether-state-v4";
@@ -78,28 +77,6 @@ Result<regression::FitDegradation> ReadDegradation(std::istream& in) {
 
 }  // namespace
 
-Status SaveLinearModel(const regression::LinearModel& model,
-                       olap::RegionId region, const std::string& path) {
-  return WriteFileAtomically(path, [&](std::ostream& out) -> Status {
-    out << kLinearMagic << '\n' << region << '\n';
-    WriteVector(out, model.beta());
-    return Status::OK();
-  });
-}
-
-Result<LoadedLinearModel> LoadLinearModel(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot read " + path);
-  BW_RETURN_IF_ERROR(CheckMagicLine(in, kLinearMagic, path));
-  LoadedLinearModel out;
-  int64_t region = 0;
-  if (!(in >> region)) return Status::IoError("missing region id");
-  out.region = region;
-  BW_ASSIGN_OR_RETURN(std::vector<double> beta, ReadVector(in));
-  out.model = regression::LinearModel(std::move(beta));
-  return out;
-}
-
 Status SaveBellwetherTree(const BellwetherTree& tree,
                           const std::string& path) {
   return WriteFileAtomically(path, [&](std::ostream& out) -> Status {
@@ -152,7 +129,8 @@ Result<BellwetherTree> LoadBellwetherTree(const std::string& path,
     return Status::IoError("missing or implausible node count");
   }
   std::vector<TreeNode> nodes(num_nodes);
-  for (TreeNode& n : nodes) {
+  for (int64_t index = 0; index < num_nodes; ++index) {
+    TreeNode& n = nodes[index];
     int has_model = 0, is_numeric = 0;
     int64_t region = 0;
     if (!(in >> n.depth >> n.num_items >> has_model >> region)) {
@@ -181,9 +159,19 @@ Result<BellwetherTree> LoadBellwetherTree(const std::string& path,
     n.children.resize(num_children);
     for (auto& c : n.children) {
       if (!(in >> c)) return Status::IoError("truncated children");
-      if (c < 0 || c >= num_nodes) {
-        return Status::InvalidArgument("child index out of range");
+      if (c <= index || c >= num_nodes) {
+        return Status::InvalidArgument(
+            "child index out of range (children follow their parent)");
       }
+    }
+    if (n.is_leaf()) continue;
+    if (n.split.column < 0 ||
+        static_cast<size_t>(n.split.column) >= feats->num_columns()) {
+      return Status::InvalidArgument("split column out of range");
+    }
+    if (n.split.is_numeric != feats->IsNumeric(n.split.column)) {
+      return Status::InvalidArgument(
+          "split kind disagrees with its column (numeric vs categorical)");
     }
   }
   if (nodes.empty()) return Status::InvalidArgument("empty tree");

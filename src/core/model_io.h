@@ -7,30 +7,16 @@
 #include "common/status.h"
 #include "core/bellwether_cube.h"
 #include "core/bellwether_tree.h"
-#include "regression/linear_model.h"
 
 namespace bellwether::core {
 
 /// Serialization of fitted bellwether artifacts, so analysis (expensive,
 /// over the historical warehouse) and prediction (cheap, per new item) can
-/// run in separate processes. Models, trees and cubes use a line-oriented
-/// text format: human-inspectable, versioned, and stable across platforms.
+/// run in separate processes. Trees and cubes use a line-oriented text
+/// format: human-inspectable, versioned, and stable across platforms.
 /// The incremental state, which holds every retained row, uses a
 /// CRC-checked binary body instead (common/checksummed_io.h). Every writer
 /// replaces its file atomically (common/atomic_file.h).
-
-/// ---- Linear (bellwether) models ----
-
-/// Writes a fitted linear model with its bellwether region id.
-Status SaveLinearModel(const regression::LinearModel& model,
-                       olap::RegionId region, const std::string& path);
-
-struct LoadedLinearModel {
-  regression::LinearModel model;
-  olap::RegionId region = olap::kInvalidRegion;
-};
-
-Result<LoadedLinearModel> LoadLinearModel(const std::string& path);
 
 /// ---- Bellwether trees ----
 
@@ -42,7 +28,10 @@ Status SaveBellwetherTree(const BellwetherTree& tree,
 
 /// Loads a tree saved by SaveBellwetherTree. Routing requires the same item
 /// table the tree was built against; pass it to rebuild the split-feature
-/// view.
+/// view. A tree that could not route is kInvalidArgument: a child index not
+/// greater than its parent's (the builders number nodes breadth-first, which
+/// is what makes routing terminate), or a split column that is out of range
+/// or of the other kind (numeric vs categorical).
 Result<BellwetherTree> LoadBellwetherTree(
     const std::string& path, const table::Table& item_table);
 

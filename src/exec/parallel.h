@@ -39,11 +39,10 @@ std::vector<R> ParallelMap(ThreadPool* pool, size_t n,
 /// Ordered streaming reduce over a producer the pool cannot reorder: tasks
 /// are submitted one at a time (typically from a storage scan), execute
 /// concurrently, and their results are handed to `reduce` strictly in
-/// submission order — the same order the serial loop would have produced
-/// them in. This is what makes the parallel builders bit-identical to the
-/// serial ones: every floating-point accumulator is still folded in the
-/// deterministic region order, only the per-region computation runs on
-/// workers.
+/// submission order — the order a serial loop would produce them in. This
+/// is what makes every thread count of a builder bit-identical: every
+/// floating-point accumulator is still folded in the deterministic region
+/// order, only the per-region computation runs on workers.
 ///
 /// With a null pool (serial mode) Submit runs the task inline and reduces
 /// immediately, so task lambdas may capture scan-local state by reference;
@@ -115,6 +114,31 @@ class MergeInSubmissionOrder {
   std::deque<std::future<R>> pending_;
   size_t next_reduce_index_ = 0;
   obs::TraceSpan span_;
+};
+
+/// Per-task buffers for a MergeInSubmissionOrder stream, reused instead of
+/// reallocated: Acquire() before Submit and Release() from the reduce, both
+/// on the submitting thread, so no locking is needed. A serial stream reuses
+/// one buffer for every task; a parallel one holds at most
+/// max_outstanding + 1. Buffers live as long as the FreeList, so it must
+/// outlive the pool whose tasks write into them.
+template <typename T>
+class FreeList {
+ public:
+  T* Acquire() {
+    if (idle_.empty()) {
+      owned_.push_back(std::make_unique<T>());
+      return owned_.back().get();
+    }
+    T* buffer = idle_.back();
+    idle_.pop_back();
+    return buffer;
+  }
+  void Release(T* buffer) { idle_.push_back(buffer); }
+
+ private:
+  std::vector<std::unique_ptr<T>> owned_;
+  std::vector<T*> idle_;
 };
 
 }  // namespace bellwether::exec

@@ -12,12 +12,12 @@
 namespace bellwether::exec {
 
 /// Parallel-execution knob threaded through the search, tree, and cube
-/// options. The default is strictly serial: the instrumented builders take
-/// their historical single-threaded code path and produce byte-for-byte the
-/// same artifacts they always have. Any other value opts into the worker
-/// pool, under the determinism contract of docs/PERFORMANCE.md: for every
-/// thread count the results (models, errors, picked regions, logical
-/// scan-count telemetry) are bit-identical to the serial build.
+/// options. The default is strictly serial: no pool is created, and each
+/// builder's one code path runs its per-region tasks inline on the scan
+/// thread. Any other value runs those tasks on a worker pool, under the
+/// determinism contract of docs/PERFORMANCE.md: for every thread count the
+/// results (models, errors, picked regions, logical scan-count telemetry)
+/// are bit-identical to the serial build.
 struct BellwetherExecOptions {
   /// 1 = serial (default), 0 = std::thread::hardware_concurrency(),
   /// N > 1 = exactly N workers. Negative values behave like 1.

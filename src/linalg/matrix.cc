@@ -1,7 +1,6 @@
 #include "linalg/matrix.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace bellwether::linalg {
 
@@ -15,12 +14,6 @@ Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
   return m;
 }
 
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 Matrix& Matrix::operator+=(const Matrix& other) {
   BW_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
@@ -30,67 +23,6 @@ Matrix& Matrix::operator+=(const Matrix& other) {
 Matrix& Matrix::operator*=(double s) {
   for (double& v : data_) v *= s;
   return *this;
-}
-
-Matrix Matrix::Transposed() const {
-  Matrix t(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r)
-    for (size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
-}
-
-Matrix Matrix::Multiply(const Matrix& other) const {
-  BW_CHECK(cols_ == other.rows_);
-  Matrix out(rows_, other.cols_);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t k = 0; k < cols_; ++k) {
-      const double a = (*this)(r, k);
-      if (a == 0.0) continue;
-      for (size_t c = 0; c < other.cols_; ++c) {
-        out(r, c) += a * other(k, c);
-      }
-    }
-  }
-  return out;
-}
-
-Vector Matrix::MultiplyVector(const Vector& v) const {
-  BW_CHECK(cols_ == v.size());
-  Vector out(rows_, 0.0);
-  for (size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (size_t c = 0; c < cols_; ++c) acc += (*this)(r, c) * v[c];
-    out[r] = acc;
-  }
-  return out;
-}
-
-double Matrix::DistanceTo(const Matrix& other) const {
-  BW_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  double acc = 0.0;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    const double d = data_[i] - other.data_[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc);
-}
-
-std::string Matrix::ToString() const {
-  std::string out;
-  char buf[64];
-  for (size_t r = 0; r < rows_; ++r) {
-    out += "[";
-    for (size_t c = 0; c < cols_; ++c) {
-      std::snprintf(buf, sizeof(buf), "%s%.6g", c ? ", " : "", (*this)(r, c));
-      out += buf;
-    }
-    out += "]\n";
-  }
-  return out;
-}
-
-bool operator==(const Matrix& a, const Matrix& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() && a.data() == b.data();
 }
 
 double Dot(const double* a, const double* b, size_t n) {
@@ -114,23 +46,6 @@ double Dot(const double* a, const double* b, size_t n) {
 double Dot(const Vector& a, const Vector& b) {
   BW_CHECK(a.size() == b.size());
   return Dot(a.data(), b.data(), a.size());
-}
-
-void AddScaledOuterProduct(const Vector& x, double w, Matrix* accum) {
-  BW_CHECK(accum != nullptr && accum->rows() == x.size() &&
-           accum->cols() == x.size());
-  for (size_t r = 0; r < x.size(); ++r) {
-    const double wr = w * x[r];
-    if (wr == 0.0) continue;
-    for (size_t c = 0; c < x.size(); ++c) {
-      (*accum)(r, c) += wr * x[c];
-    }
-  }
-}
-
-void AddScaledVector(const Vector& x, double w, Vector* accum) {
-  BW_CHECK(accum != nullptr && accum->size() == x.size());
-  for (size_t i = 0; i < x.size(); ++i) (*accum)[i] += w * x[i];
 }
 
 namespace {
@@ -218,64 +133,6 @@ Result<Vector> SolveSpd(const Matrix& a, const Vector& b, double max_ridge) {
   }
   return Status::NumericError(
       "SolveSpd: matrix not positive definite even with ridge");
-}
-
-Result<Vector> SolveLu(const Matrix& a, const Vector& b) {
-  if (a.rows() != a.cols() || a.rows() != b.size()) {
-    return Status::InvalidArgument("SolveLu shape mismatch");
-  }
-  const size_t n = a.rows();
-  Matrix lu = a;
-  Vector x = b;
-  std::vector<size_t> perm(n);
-  for (size_t i = 0; i < n; ++i) perm[i] = i;
-  for (size_t col = 0; col < n; ++col) {
-    // Partial pivoting.
-    size_t pivot = col;
-    double best = std::fabs(lu(col, col));
-    for (size_t r = col + 1; r < n; ++r) {
-      const double v = std::fabs(lu(r, col));
-      if (v > best) {
-        best = v;
-        pivot = r;
-      }
-    }
-    if (best == 0.0 || !std::isfinite(best)) {
-      return Status::NumericError("SolveLu: singular matrix");
-    }
-    if (pivot != col) {
-      for (size_t c = 0; c < n; ++c) std::swap(lu(col, c), lu(pivot, c));
-      std::swap(x[col], x[pivot]);
-    }
-    for (size_t r = col + 1; r < n; ++r) {
-      const double f = lu(r, col) / lu(col, col);
-      lu(r, col) = f;
-      for (size_t c = col + 1; c < n; ++c) lu(r, c) -= f * lu(col, c);
-      x[r] -= f * x[col];
-    }
-  }
-  // Back substitution.
-  for (size_t ii = n; ii-- > 0;) {
-    double s = x[ii];
-    for (size_t c = ii + 1; c < n; ++c) s -= lu(ii, c) * x[c];
-    x[ii] = s / lu(ii, ii);
-  }
-  return x;
-}
-
-Result<Matrix> InvertSpd(const Matrix& a, double max_ridge) {
-  if (a.rows() != a.cols()) {
-    return Status::InvalidArgument("InvertSpd requires a square matrix");
-  }
-  const size_t n = a.rows();
-  Matrix inv(n, n);
-  for (size_t c = 0; c < n; ++c) {
-    Vector e(n, 0.0);
-    e[c] = 1.0;
-    BW_ASSIGN_OR_RETURN(Vector col, SolveSpd(a, e, max_ridge));
-    for (size_t r = 0; r < n; ++r) inv(r, c) = col[r];
-  }
-  return inv;
 }
 
 }  // namespace bellwether::linalg

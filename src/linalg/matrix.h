@@ -2,7 +2,6 @@
 #define BELLWETHER_LINALG_MATRIX_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -24,9 +23,6 @@ class Matrix {
   /// Builds a matrix from nested initializer data; all rows must have equal
   /// length.
   static Matrix FromRows(const std::vector<std::vector<double>>& rows);
-
-  /// Identity matrix of order n.
-  static Matrix Identity(size_t n);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -50,28 +46,11 @@ class Matrix {
   /// Scales every element by s.
   Matrix& operator*=(double s);
 
-  /// Matrix transpose.
-  Matrix Transposed() const;
-
-  /// Matrix-matrix product; shapes must be conformable.
-  Matrix Multiply(const Matrix& other) const;
-
-  /// Matrix-vector product; v.size() must equal cols().
-  Vector MultiplyVector(const Vector& v) const;
-
-  /// Frobenius-norm distance to another same-shaped matrix.
-  double DistanceTo(const Matrix& other) const;
-
-  /// Human-readable dump for debugging/tests.
-  std::string ToString() const;
-
  private:
   size_t rows_;
   size_t cols_;
   std::vector<double> data_;
 };
-
-bool operator==(const Matrix& a, const Matrix& b);
 
 /// Dot product over raw arrays (multi-accumulator, autovectorizable). The
 /// serving hot path (LinearModel::Predict) and the suff-stats kernels share
@@ -81,13 +60,6 @@ double Dot(const double* a, const double* b, size_t n);
 /// Dot product. Precondition: equal sizes.
 double Dot(const Vector& a, const Vector& b);
 
-/// Adds w * x * x' into `accum` (symmetric rank-1 update); `accum` must be
-/// square with order x.size().
-void AddScaledOuterProduct(const Vector& x, double w, Matrix* accum);
-
-/// Adds w * x * y into `accum` (scaled vector accumulate); sizes must match.
-void AddScaledVector(const Vector& x, double w, Vector* accum);
-
 /// Solves A x = b for symmetric positive definite A via Cholesky
 /// factorization. If A is singular or indefinite, retries with a small ridge
 /// (A + lambda I) escalating up to `max_ridge`; returns NumericError if the
@@ -95,13 +67,6 @@ void AddScaledVector(const Vector& x, double w, Vector* accum);
 /// statistics packages apply to collinear regression designs.
 Result<Vector> SolveSpd(const Matrix& a, const Vector& b,
                         double max_ridge = 1e-4);
-
-/// Solves A x = b for a general square A by partial-pivot LU.
-Result<Vector> SolveLu(const Matrix& a, const Vector& b);
-
-/// Inverse of a symmetric positive definite matrix (with the same ridge
-/// fallback as SolveSpd).
-Result<Matrix> InvertSpd(const Matrix& a, double max_ridge = 1e-4);
 
 }  // namespace bellwether::linalg
 

@@ -2,7 +2,6 @@
 #define BELLWETHER_OLAP_DIRTY_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "olap/region.h"
@@ -10,31 +9,23 @@
 namespace bellwether::olap {
 
 /// Dense dirty-flag set over a region (or cube-subset) id space: O(1)
-/// marking, ascending-id iteration, and a running count. The incremental
+/// marking and lookup, and a running count. The incremental
 /// cube-maintenance path uses one to track which lattice cells a delta
 /// batch touched, so finalization re-derives only those instead of the
 /// whole cube.
 class DirtySet {
  public:
-  DirtySet() = default;
-  explicit DirtySet(int64_t size) : flags_(size, 0) {}
-
   /// Resizes the id space; all flags cleared.
   void Resize(int64_t size) {
     flags_.assign(static_cast<size_t>(size), 0);
     count_ = 0;
   }
-  int64_t size() const { return static_cast<int64_t>(flags_.size()); }
 
   void Mark(RegionId id) {
     if (flags_[id] == 0) {
       flags_[id] = 1;
       ++count_;
     }
-  }
-  void MarkAll() {
-    flags_.assign(flags_.size(), 1);
-    count_ = size();
   }
   void Clear() {
     flags_.assign(flags_.size(), 0);
@@ -43,25 +34,10 @@ class DirtySet {
   bool IsMarked(RegionId id) const { return flags_[id] != 0; }
   int64_t count() const { return count_; }
 
-  /// Visits the marked ids in ascending order.
-  void ForEachMarked(const std::function<void(RegionId)>& fn) const {
-    for (size_t i = 0; i < flags_.size(); ++i) {
-      if (flags_[i] != 0) fn(static_cast<RegionId>(i));
-    }
-  }
-
  private:
   std::vector<uint8_t> flags_;
   int64_t count_ = 0;
 };
-
-/// Marks every region of `space` containing `point`: the ancestor closure
-/// of the point's base cell, i.e. the lattice rollup of dirtiness — every
-/// aggregate whose value depends on the point (Gray et al.'s cube lattice,
-/// restricted to one new fact). `dirty` must be sized to
-/// space.NumRegions().
-void MarkContainingRegions(const RegionSpace& space, const PointCoords& point,
-                           DirtySet* dirty);
 
 }  // namespace bellwether::olap
 

@@ -13,21 +13,6 @@ namespace bellwether::table {
 
 namespace {
 
-// Total order over boxed values for sorting/grouping: null < numerics (by
-// value) < strings. int64 and double compare numerically.
-int CompareValues(const Value& a, const Value& b) {
-  const int rank_a = a.is_null() ? 0 : (a.is_string() ? 2 : 1);
-  const int rank_b = b.is_null() ? 0 : (b.is_string() ? 2 : 1);
-  if (rank_a != rank_b) return rank_a < rank_b ? -1 : 1;
-  if (rank_a == 0) return 0;
-  if (rank_a == 2) {
-    return a.str() < b.str() ? -1 : (a.str() == b.str() ? 0 : 1);
-  }
-  const double da = a.AsDouble();
-  const double db = b.AsDouble();
-  return da < db ? -1 : (da == db ? 0 : 1);
-}
-
 // String key for hash grouping: type-tagged rendering of each value.
 std::string GroupKey(const Table& t, size_t row,
                      const std::vector<size_t>& cols) {
@@ -137,21 +122,6 @@ Table Select(const Table& input, const RowPredicate& pred) {
     if (pred(input, r)) keep.push_back(r);
   }
   return input.TakeRows(keep);
-}
-
-Result<Table> Project(const Table& input,
-                      const std::vector<std::string>& columns) {
-  BW_ASSIGN_OR_RETURN(std::vector<size_t> idx,
-                      ResolveColumns(input, columns));
-  Schema schema;
-  for (size_t i : idx) schema.AddField(input.schema().field(i));
-  Table out(schema);
-  std::vector<Value> row(idx.size());
-  for (size_t r = 0; r < input.num_rows(); ++r) {
-    for (size_t k = 0; k < idx.size(); ++k) row[k] = input.ValueAt(r, idx[k]);
-    out.AppendRow(row);
-  }
-  return out;
 }
 
 Result<Table> ProjectDistinct(const Table& input,
@@ -292,47 +262,6 @@ Result<Table> GroupByAggregate(const Table& input,
     row.clear();
   }
   return out;
-}
-
-Result<Table> SortBy(const Table& input,
-                     const std::vector<std::string>& columns) {
-  BW_ASSIGN_OR_RETURN(std::vector<size_t> idx,
-                      ResolveColumns(input, columns));
-  std::vector<size_t> order(input.num_rows());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    for (size_t c : idx) {
-      const int cmp = CompareValues(input.ValueAt(a, c), input.ValueAt(b, c));
-      if (cmp != 0) return cmp < 0;
-    }
-    return false;
-  });
-  return input.TakeRows(order);
-}
-
-bool TablesEqualUnordered(const Table& a, const Table& b, double tol) {
-  if (!(a.schema() == b.schema()) || a.num_rows() != b.num_rows()) {
-    return false;
-  }
-  std::vector<std::string> all_cols;
-  for (const auto& f : a.schema().fields()) all_cols.push_back(f.name);
-  auto sa = SortBy(a, all_cols);
-  auto sb = SortBy(b, all_cols);
-  BW_CHECK(sa.ok() && sb.ok());
-  for (size_t r = 0; r < a.num_rows(); ++r) {
-    for (size_t c = 0; c < a.num_columns(); ++c) {
-      const Value va = sa->ValueAt(r, c);
-      const Value vb = sb->ValueAt(r, c);
-      if (va.is_null() != vb.is_null()) return false;
-      if (va.is_null()) continue;
-      if (va.is_string() || vb.is_string()) {
-        if (!(va == vb)) return false;
-      } else if (std::fabs(va.AsDouble() - vb.AsDouble()) > tol) {
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 }  // namespace bellwether::table

@@ -25,10 +25,6 @@ Table Select(const Table& input, const RowPredicate& pred);
 Result<Table> ProjectDistinct(const Table& input,
                               const std::vector<std::string>& columns);
 
-/// Projection without duplicate elimination.
-Result<Table> Project(const Table& input,
-                      const std::vector<std::string>& columns);
-
 /// Key-foreign-key natural join: for each row of `fact`, looks up the row of
 /// `reference` whose `ref_key` equals the fact row's `fact_fk`. `reference`
 /// must have unique keys (primary key). Fact rows with no match or a null FK
@@ -64,14 +60,6 @@ struct AggSpec {
 Result<Table> GroupByAggregate(const Table& input,
                                const std::vector<std::string>& group_by,
                                const std::vector<AggSpec>& specs);
-
-/// Sorts rows by the given columns ascending (nulls first). Stable.
-Result<Table> SortBy(const Table& input,
-                     const std::vector<std::string>& columns);
-
-/// True if the tables have equal schemas and identical row multisets
-/// (compared after sorting by all columns). Doubles compare with tolerance.
-bool TablesEqualUnordered(const Table& a, const Table& b, double tol = 1e-9);
 
 }  // namespace bellwether::table
 

@@ -90,39 +90,6 @@ TEST(GaussianNbTest, FitFailsOnEmpty) {
   EXPECT_FALSE(stats.Fit().ok());
 }
 
-// Property: merged statistics fit the same model as monolithic ones (the
-// algebraic decomposability that makes NB cube-compatible).
-class NbMergeTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(NbMergeTest, MergeEqualsMonolithic) {
-  Rng rng(GetParam());
-  const size_t p = 1 + rng.NextUint64(4);
-  const int32_t classes = 2 + static_cast<int32_t>(rng.NextUint64(3));
-  NbSuffStats whole(p, classes);
-  NbSuffStats parts[3] = {NbSuffStats(p, classes), NbSuffStats(p, classes),
-                          NbSuffStats(p, classes)};
-  std::vector<double> x(p);
-  for (int i = 0; i < 300; ++i) {
-    for (auto& v : x) v = rng.NextDouble(-5, 5);
-    const int32_t y = static_cast<int32_t>(rng.NextUint64(classes));
-    whole.Add(x.data(), y);
-    parts[rng.NextUint64(3)].Add(x.data(), y);
-  }
-  NbSuffStats merged;
-  for (auto& part : parts) merged.Merge(part);
-  auto m1 = whole.Fit();
-  auto m2 = merged.Fit();
-  ASSERT_TRUE(m1.ok());
-  ASSERT_TRUE(m2.ok());
-  // Identical predictions on random probes.
-  for (int i = 0; i < 50; ++i) {
-    for (auto& v : x) v = rng.NextDouble(-6, 6);
-    EXPECT_EQ(m1->Predict(x.data()), m2->Predict(x.data()));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, NbMergeTest, ::testing::Range(1, 9));
-
 TEST(NbErrorTest, CrossValidationTracksTrainingOnEasyData) {
   const LabeledDataset data = MakeBlobs(300, 6.0, 5);
   Rng rng(1);

@@ -227,20 +227,6 @@ TEST(TreeTest, ItemMaskShrinksRoot) {
             static_cast<int32_t>(sim.targets.size() / 2));
 }
 
-TEST(TreeTest, PruningNeverIncreasesNodeCountAndKeepsRoot) {
-  datagen::SimulationDataset sim = MakeSim(15, 0.8, 31);
-  storage::MemoryTrainingData source(sim.sets);
-  auto tree =
-      BuildBellwetherTreeRainForest(&source, sim.items, MakeTreeConfig(sim));
-  ASSERT_TRUE(tree.ok());
-  const int32_t leaves_before = tree->NumLeaves();
-  // A huge complexity charge prunes everything back to the root.
-  const int32_t pruned = PruneBellwetherTree(&*tree, 1e18);
-  EXPECT_GE(pruned, 0);
-  EXPECT_LE(tree->NumLeaves(), leaves_before);
-  EXPECT_TRUE(tree->root().is_leaf());
-}
-
 TEST(TreeTest, ToStringMentionsSplits) {
   datagen::SimulationDataset sim = MakeSim(15, 0.1, 37);
   storage::MemoryTrainingData source(sim.sets);

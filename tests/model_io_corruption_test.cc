@@ -1,11 +1,13 @@
-// Corruption hardening of the model/tree/cube/state loaders: truncated files
-// and byte flips fail with clean statuses (never a crash or a partial
-// object; the checksummed state file rejects every flip), version-mismatched
+// Corruption hardening of the tree/cube/state loaders: truncated files and
+// byte flips fail with clean statuses (never a crash or a partial object;
+// the checksummed state file rejects every flip), version-mismatched
 // headers are told apart from garbage, implausible counts are rejected
-// before allocation, and non-finite values round-trip.
+// before allocation, non-finite values round-trip, and a tree that could
+// not route is rejected.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -13,6 +15,8 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/checksummed_io.h"
 #include "common/crc32c.h"
@@ -54,12 +58,49 @@ datagen::SimulationDataset MakeSim(uint64_t seed) {
   return datagen::GenerateSimulation(config);
 }
 
+// The split columns of the hand-written trees below: numeric x,
+// categorical c.
+table::Table SplitItems() {
+  table::Table items(table::Schema(
+      {{"x", table::DataType::kDouble}, {"c", table::DataType::kString}}));
+  items.AppendRow({table::Value(0.0), table::Value("a")});
+  items.AppendRow({table::Value(1.0), table::Value("b")});
+  return items;
+}
+
+// A three-node tree over SplitItems(): the root splits on column
+// `split_column` (numeric when `is_numeric`, threshold 0.5) into nodes
+// `first_child` and 2. TwoLeafTree(1, 0, 1) is valid.
+std::string TwoLeafTree(int first_child, int split_column, int is_numeric) {
+  std::ostringstream out;
+  out << "bellwether-tree-v2\n2\nx\nc\n3\n"
+      << "0 2 1 4 0 0.5 0.25\n1 1.5\n"
+      << split_column << ' ' << is_numeric << " 0.5 2\n"
+      << "2 " << first_child << " 2\n";
+  for (int leaf = 0; leaf < 2; ++leaf) {
+    out << "1 1 1 4 0 0.5 0\n1 1.5\n-1 0 0 0\n0\n";
+  }
+  return out.str();
+}
+
+// Cube files need a subset space to get past their header.
+std::shared_ptr<const ItemSubsetSpace> SimSubsets(
+    const datagen::SimulationDataset& sim) {
+  auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
+  EXPECT_TRUE(subsets.ok()) << subsets.status().ToString();
+  return subsets.ok() ? *subsets : nullptr;
+}
+
 TEST(ModelIoCorruptionTest, VersionMismatchIsFailedPrecondition) {
-  const std::string path = TestTempPath("old_version.bwl");
-  WriteAll(path, "bellwether-linear-v0\n42\n1 1.5\n");
-  auto r = LoadLinearModel(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  const std::string path = TestTempPath("old_version.bwt");
+  WriteAll(path, "bellwether-tree-v1\n0\n1\n");
+  auto tree = LoadBellwetherTree(path, table::Table());
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kFailedPrecondition);
+  WriteAll(path, "bellwether-cube-v1\n0 0\n");
+  auto cube = LoadBellwetherCube(path, nullptr);
+  ASSERT_FALSE(cube.ok());
+  EXPECT_EQ(cube.status().code(), StatusCode::kFailedPrecondition);
   std::remove(path.c_str());
 }
 
@@ -75,34 +116,136 @@ TEST(ModelIoCorruptionTest, WrongArtifactKindIsFailedPrecondition) {
 }
 
 TEST(ModelIoCorruptionTest, GarbageMagicIsInvalidArgument) {
-  const std::string path = TestTempPath("garbage.bwl");
+  const std::string path = TestTempPath("garbage.bwt");
   WriteAll(path, "#!/bin/sh\necho not a model\n");
-  auto r = LoadLinearModel(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  auto tree = LoadBellwetherTree(path, table::Table());
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
+  auto cube = LoadBellwetherCube(path, nullptr);
+  ASSERT_FALSE(cube.ok());
+  EXPECT_EQ(cube.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 
 TEST(ModelIoCorruptionTest, ImplausibleVectorLengthIsRejected) {
-  // A corrupt length field must not become a huge allocation.
-  const std::string path = TestTempPath("huge.bwl");
-  WriteAll(path, "bellwether-linear-v1\n42\n9999999999999 1.5\n");
-  auto r = LoadLinearModel(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  // A corrupt model-vector length must not become a huge allocation.
+  const std::string path = TestTempPath("huge.bwt");
+  WriteAll(path,
+           "bellwether-tree-v2\n0\n1\n0 5 1 3 0 1.0 0.0\n"
+           "9999999999999 1.5\n");
+  auto tree = LoadBellwetherTree(path, table::Table());
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kIoError);
+
+  datagen::SimulationDataset sim = MakeSim(79);
+  auto subsets = SimSubsets(sim);
+  ASSERT_NE(subsets, nullptr);
+  WriteAll(path, "bellwether-cube-v2\n" +
+                     std::to_string(subsets->NumSubsets()) +
+                     " 1\n0 20 1 3 0 0 1.0 0 0 0 0\n9999999999999 1.5\n");
+  auto cube = LoadBellwetherCube(path, subsets);
+  ASSERT_FALSE(cube.ok());
+  EXPECT_EQ(cube.status().code(), StatusCode::kIoError);
   std::remove(path.c_str());
 }
 
 TEST(ModelIoCorruptionTest, LinearModelWithInfAndNanRoundTrips) {
-  const std::string path = TestTempPath("inf.bwl");
-  regression::LinearModel model({kInf, -kInf, 1.0});
-  ASSERT_TRUE(SaveLinearModel(model, 7, path).ok());
-  auto back = LoadLinearModel(path);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> beta{kInf, -kInf, nan, 1.0};
+  auto expect_beta = [&](const regression::LinearModel& model) {
+    ASSERT_EQ(model.beta().size(), beta.size());
+    EXPECT_EQ(model.beta()[0], kInf);
+    EXPECT_EQ(model.beta()[1], -kInf);
+    EXPECT_TRUE(std::isnan(model.beta()[2]));
+    EXPECT_EQ(model.beta()[3], 1.0);
+  };
+
+  // A tree node's model.
+  const table::Table items = SplitItems();
+  auto feats = ItemSplitFeatures::Create(items, {"x"});
+  ASSERT_TRUE(feats.ok());
+  TreeNode root;
+  root.has_model = true;
+  root.region = 7;
+  root.model = regression::LinearModel(beta);
+  const std::string tree_path = TestTempPath("inf.bwt");
+  ASSERT_TRUE(
+      SaveBellwetherTree(BellwetherTree(*feats, {root}), tree_path).ok());
+  auto tree = LoadBellwetherTree(tree_path, items);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  expect_beta(tree->root().model);
+  std::remove(tree_path.c_str());
+
+  // A cube cell's model.
+  datagen::SimulationDataset sim = MakeSim(77);
+  auto subsets = SimSubsets(sim);
+  ASSERT_NE(subsets, nullptr);
+  storage::MemoryTrainingData source(sim.sets);
+  CubeBuildConfig config;
+  config.min_subset_size = 20;
+  config.min_examples_per_model = 8;
+  config.compute_cv_stats = false;
+  auto cube = BuildBellwetherCubeOptimized(&source, subsets, config);
+  ASSERT_TRUE(cube.ok());
+  ASSERT_FALSE(cube->cells().empty());
+  cube->mutable_cells()[0].model = regression::LinearModel(beta);
+  const std::string cube_path = TestTempPath("inf.bwc");
+  ASSERT_TRUE(SaveBellwetherCube(*cube, cube_path).ok());
+  auto back = LoadBellwetherCube(cube_path, subsets);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ASSERT_EQ(back->model.beta().size(), 3u);
-  EXPECT_EQ(back->model.beta()[0], kInf);
-  EXPECT_EQ(back->model.beta()[1], -kInf);
-  EXPECT_EQ(back->model.beta()[2], 1.0);
+  expect_beta(back->cells()[0].model);
+  std::remove(cube_path.c_str());
+}
+
+// ---- Trees that could not route ----
+
+TEST(ModelIoCorruptionTest, HandWrittenTreeLoadsAndRoutes) {
+  const std::string path = TestTempPath("routes.bwt");
+  WriteAll(path, TwoLeafTree(1, 0, 1));
+  auto tree = LoadBellwetherTree(path, SplitItems());
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(tree->RouteItem(0), 1);  // x = 0 < 0.5
+  EXPECT_EQ(tree->RouteItem(1), 2);
+  std::remove(path.c_str());
+}
+
+TEST(ModelIoCorruptionTest, ChildNotAfterItsParentIsRejected) {
+  // A root listing itself as a child would send RouteItem round forever.
+  const std::string path = TestTempPath("cycle.bwt");
+  WriteAll(path, TwoLeafTree(0, 0, 1));
+  auto tree = LoadBellwetherTree(path, SplitItems());
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(ModelIoCorruptionTest, SplitColumnOutOfRangeIsRejected) {
+  const std::string path = TestTempPath("column.bwt");
+  for (int column : {7, 2, -1}) {
+    WriteAll(path, TwoLeafTree(1, column, 1));
+    auto tree = LoadBellwetherTree(path, SplitItems());
+    ASSERT_FALSE(tree.ok()) << "column " << column;
+    EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument)
+        << "column " << column;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ModelIoCorruptionTest, SplitKindDisagreeingWithItsColumnIsRejected) {
+  // A categorical split on numeric x, and a numeric split on categorical c:
+  // either would read the column's empty storage vector.
+  const std::string path = TestTempPath("kind.bwt");
+  for (const auto& [column, is_numeric] : {std::pair{0, 0}, std::pair{1, 1}}) {
+    WriteAll(path, TwoLeafTree(1, column, is_numeric));
+    auto tree = LoadBellwetherTree(path, SplitItems());
+    ASSERT_FALSE(tree.ok()) << "column " << column;
+    EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument)
+        << "column " << column;
+  }
+  // The categorical split on c is fine.
+  WriteAll(path, TwoLeafTree(1, 1, 0));
+  auto tree = LoadBellwetherTree(path, SplitItems());
+  EXPECT_TRUE(tree.ok()) << tree.status().ToString();
   std::remove(path.c_str());
 }
 

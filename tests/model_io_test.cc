@@ -24,29 +24,6 @@ datagen::SimulationDataset MakeSim(uint64_t seed) {
   return datagen::GenerateSimulation(config);
 }
 
-TEST(ModelIoTest, LinearModelRoundTrip) {
-  const std::string path = TestTempPath("model.bwl");
-  regression::LinearModel model({1.5, -2.25, 1e-17, 3.0});
-  ASSERT_TRUE(SaveLinearModel(model, 42, path).ok());
-  auto back = LoadLinearModel(path);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->region, 42);
-  ASSERT_EQ(back->model.beta().size(), 4u);
-  for (size_t j = 0; j < 4; ++j) {
-    EXPECT_DOUBLE_EQ(back->model.beta()[j], model.beta()[j]);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ModelIoTest, LinearModelRejectsWrongMagic) {
-  const std::string path = TestTempPath("bad.bwl");
-  FILE* f = fopen(path.c_str(), "w");
-  fputs("something else\n", f);
-  fclose(f);
-  EXPECT_FALSE(LoadLinearModel(path).ok());
-  std::remove(path.c_str());
-}
-
 TEST(ModelIoTest, TreeRoundTripPreservesPredictions) {
   datagen::SimulationDataset sim = MakeSim(71);
   storage::MemoryTrainingData source(sim.sets);

@@ -2,13 +2,16 @@
 // (docs/PERFORMANCE.md): for every thread count — including
 // hardware_concurrency — the basic search, the RainForest tree, and the
 // single-scan cube produce artifacts bit-identical to the serial build;
-// the same holds with deterministic faults armed, and checkpoints written
-// by a parallel build are interchangeable with serial ones.
+// the same holds with deterministic faults armed, a failed scan returns its
+// error at every thread count, and checkpoints written by a parallel build
+// are interchangeable with serial ones.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/basic_search.h"
@@ -199,6 +202,109 @@ TEST(ParallelDeterminismTest, CubeBitIdenticalAcrossThreadCounts) {
     ExpectCubesIdentical(*cube, *serial);
     // Lemma 2 telemetry: exactly one scan, regardless of thread count.
     EXPECT_EQ(cube->build_telemetry().data_passes, 1);
+  }
+}
+
+// ---- A failing scan ----
+
+// Delivers the wrapped sets, but fails with kIoError once `fail_after` sets
+// have been delivered in total, counted across all of its scans.
+class FailingScanSource final : public storage::TrainingDataSource {
+ public:
+  FailingScanSource(std::vector<storage::RegionTrainingSet> sets,
+                    int64_t fail_after)
+      : inner_(std::move(sets)), fail_after_(fail_after) {}
+
+  size_t num_region_sets() const override { return inner_.num_region_sets(); }
+  Status Scan(const std::function<Status(const storage::RegionTrainingSet&)>&
+                  fn) override {
+    return inner_.Scan([&](const storage::RegionTrainingSet& set) -> Status {
+      if (delivered_ == fail_after_) {
+        return Status::IoError("scan failed after " +
+                               std::to_string(fail_after_) + " sets");
+      }
+      ++delivered_;
+      return fn(set);
+    });
+  }
+  Result<storage::RegionTrainingSet> Read(size_t index) override {
+    return inner_.Read(index);
+  }
+  std::vector<olap::RegionId> RegionIds() override {
+    return inner_.RegionIds();
+  }
+
+ private:
+  storage::MemoryTrainingData inner_;
+  const int64_t fail_after_;
+  int64_t delivered_ = 0;
+};
+
+TEST(ParallelDeterminismTest, FailedScanReturnsItsErrorAcrossThreadCounts) {
+  datagen::SimulationDataset sim = MakeSim(47);
+  const int64_t num_sets = static_cast<int64_t>(sim.sets.size());
+  auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
+  ASSERT_TRUE(subsets.ok());
+  TreeBuildConfig tree_config;
+  tree_config.split_columns = sim.feature_columns;
+  tree_config.min_items = 25;
+  tree_config.max_depth = 4;
+  tree_config.min_examples_per_model = 8;
+  CubeBuildConfig cube_config;
+  cube_config.min_subset_size = 20;
+  cube_config.min_examples_per_model = 8;
+
+  storage::MemoryTrainingData tree_src(sim.sets);
+  auto serial_tree =
+      BuildBellwetherTreeRainForest(&tree_src, sim.items, tree_config);
+  ASSERT_TRUE(serial_tree.ok()) << serial_tree.status().ToString();
+  ASSERT_GT(serial_tree->build_telemetry().data_passes, 1)
+      << "the failure must fall past the tree's first level";
+  storage::MemoryTrainingData cube_src(sim.sets);
+  auto serial_cube =
+      BuildBellwetherCubeSingleScan(&cube_src, *subsets, cube_config);
+  ASSERT_TRUE(serial_cube.ok()) << serial_cube.status().ToString();
+
+  for (int32_t threads : kThreadCounts) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    // The tree fails inside its second level's scan, with the first level's
+    // splits applied and regions of the second still in flight.
+    TreeBuildConfig tree_par = tree_config;
+    tree_par.exec.num_threads = threads;
+    const int64_t tree_fail_after = num_sets + num_sets / 2;
+    FailingScanSource failing_tree_src(sim.sets, tree_fail_after);
+    auto failed_tree =
+        BuildBellwetherTreeRainForest(&failing_tree_src, sim.items, tree_par);
+    ASSERT_FALSE(failed_tree.ok());
+    EXPECT_EQ(failed_tree.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(failed_tree.status().message(),
+              "scan failed after " + std::to_string(tree_fail_after) +
+                  " sets");
+
+    // The cube fails halfway through its one scan.
+    CubeBuildConfig cube_par = cube_config;
+    cube_par.exec.num_threads = threads;
+    const int64_t cube_fail_after = num_sets / 2;
+    FailingScanSource failing_cube_src(sim.sets, cube_fail_after);
+    auto failed_cube =
+        BuildBellwetherCubeSingleScan(&failing_cube_src, *subsets, cube_par);
+    ASSERT_FALSE(failed_cube.ok());
+    EXPECT_EQ(failed_cube.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(failed_cube.status().message(),
+              "scan failed after " + std::to_string(cube_fail_after) +
+                  " sets");
+
+    // Clean rebuilds after the failures still match the serial artifacts.
+    storage::MemoryTrainingData clean_tree_src(sim.sets);
+    auto tree = BuildBellwetherTreeRainForest(&clean_tree_src, sim.items,
+                                              tree_par);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    ExpectTreesIdentical(*tree, *serial_tree);
+    storage::MemoryTrainingData clean_cube_src(sim.sets);
+    auto cube =
+        BuildBellwetherCubeSingleScan(&clean_cube_src, *subsets, cube_par);
+    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+    ExpectCubesIdentical(*cube, *serial_cube);
   }
 }
 

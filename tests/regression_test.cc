@@ -104,7 +104,16 @@ TEST_P(SuffStatsMergeTest, MergeEqualsMonolithic) {
 
   EXPECT_EQ(merged.num_examples(), whole.num_examples());
   EXPECT_NEAR(merged.ytwy(), whole.ytwy(), 1e-7);
-  EXPECT_LT(merged.xtwx().DistanceTo(whole.xtwx()), 1e-7);
+  // Frobenius distance between the full X'WX matrices.
+  const std::vector<double> merged_xtwx = merged.xtwx().data();
+  const std::vector<double> whole_xtwx = whole.xtwx().data();
+  ASSERT_EQ(merged_xtwx.size(), whole_xtwx.size());
+  double sq_distance = 0.0;
+  for (size_t k = 0; k < whole_xtwx.size(); ++k) {
+    const double d = merged_xtwx[k] - whole_xtwx[k];
+    sq_distance += d * d;
+  }
+  EXPECT_LT(std::sqrt(sq_distance), 1e-7);
   ASSERT_TRUE(whole.TrainingSse().ok());
   ASSERT_TRUE(merged.TrainingSse().ok());
   EXPECT_NEAR(*merged.TrainingSse(), *whole.TrainingSse(),

@@ -5,8 +5,8 @@
 // from-scratch rebuild over the concatenated stream, at one and many
 // threads, with deterministic faults armed, and across kill/reopen of the
 // persisted state. Plus the building blocks: DirtySet semantics, the
-// dirty-cell re-derivation economy, FinalizeSearch parity with the
-// sequential basic search, and the StateDeltaSink adapter.
+// dirty-cell re-derivation economy, and FinalizeSearch parity with the
+// sequential basic search.
 
 #include <gtest/gtest.h>
 
@@ -150,8 +150,9 @@ Result<std::unique_ptr<BellwetherState>> NewState(
 
 // ---- DirtySet ----
 
-TEST(DirtySetTest, MarkCountClearAndAscendingVisit) {
-  olap::DirtySet dirty(10);
+TEST(DirtySetTest, MarkCountAndClear) {
+  olap::DirtySet dirty;
+  dirty.Resize(10);
   EXPECT_EQ(dirty.count(), 0);
   dirty.Mark(7);
   dirty.Mark(2);
@@ -160,41 +161,13 @@ TEST(DirtySetTest, MarkCountClearAndAscendingVisit) {
   EXPECT_TRUE(dirty.IsMarked(2));
   EXPECT_TRUE(dirty.IsMarked(7));
   EXPECT_FALSE(dirty.IsMarked(3));
-  std::vector<olap::RegionId> seen;
-  dirty.ForEachMarked([&](olap::RegionId id) { seen.push_back(id); });
-  EXPECT_EQ(seen, (std::vector<olap::RegionId>{2, 7}));
   dirty.Clear();
   EXPECT_EQ(dirty.count(), 0);
   EXPECT_FALSE(dirty.IsMarked(2));
-  dirty.MarkAll();
-  EXPECT_EQ(dirty.count(), 10);
-}
-
-TEST(DirtySetTest, MarkContainingRegionsIsTheAncestorClosure) {
-  // All -> US {WI, MD}, KR over a 3-week incremental time dimension.
-  olap::HierarchicalDimension loc("Location", "All");
-  const olap::NodeId us = loc.AddNode("US", loc.root());
-  const olap::NodeId wi = loc.AddNode("WI", us);
-  loc.AddNode("MD", us);
-  loc.AddNode("KR", loc.root());
-  std::vector<olap::Dimension> dims;
-  dims.emplace_back(olap::IntervalDimension("Time", 3));
-  dims.emplace_back(loc);
-  olap::RegionSpace space(std::move(dims));
-
-  const olap::PointCoords point{2, wi};
-  std::vector<olap::RegionId> expected;
-  space.ForEachContainingRegion(point,
-                                [&](olap::RegionId r) { expected.push_back(r); });
-  std::sort(expected.begin(), expected.end());
-  ASSERT_FALSE(expected.empty());
-
-  olap::DirtySet dirty(space.NumRegions());
-  olap::MarkContainingRegions(space, point, &dirty);
-  EXPECT_EQ(dirty.count(), static_cast<int64_t>(expected.size()));
-  std::vector<olap::RegionId> marked;
-  dirty.ForEachMarked([&](olap::RegionId r) { marked.push_back(r); });
-  EXPECT_EQ(marked, expected);
+  dirty.Resize(4);
+  dirty.Mark(3);
+  EXPECT_EQ(dirty.count(), 1);
+  EXPECT_TRUE(dirty.IsMarked(3));
 }
 
 // ---- Keystone: delta-maintained == rebuilt, bit for bit ----
@@ -552,34 +525,6 @@ TEST(StateDeltaTest, FinalizeSearchMatchesSequentialBasicSearch) {
   EXPECT_EQ(got2->bellwether, want2->bellwether);
   EXPECT_EQ(got2->error.rmse, want2->error.rmse);
   EXPECT_EQ(got2->model.beta(), want2->model.beta());
-}
-
-// ---- StateDeltaSink ----
-
-TEST(StateDeltaTest, StateDeltaSinkFoldsAStreamIntoTheState) {
-  datagen::SimulationDataset sim = MakeSim(91);
-  auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
-  ASSERT_TRUE(subsets.ok());
-  const CubeBuildConfig config = MakeConfig();
-
-  storage::MemoryTrainingData source(sim.sets);
-  auto scan_cube = BuildBellwetherCubeSingleScan(&source, *subsets, config);
-  ASSERT_TRUE(scan_cube.ok());
-
-  auto state = NewState(*subsets, config);
-  ASSERT_TRUE(state.ok());
-  StateDeltaSink sink(state->get(), /*sets_per_batch=*/3);
-  for (const auto& set : sim.sets) {
-    ASSERT_TRUE(sink.Append(storage::RegionTrainingSet(set)).ok());
-  }
-  EXPECT_EQ(sink.sets_appended(), static_cast<int64_t>(sim.sets.size()));
-  auto empty_source = sink.Finish();
-  ASSERT_TRUE(empty_source.ok());
-  EXPECT_EQ((*empty_source)->num_region_sets(), 0u);
-
-  auto cube = (*state)->Finalize();
-  ASSERT_TRUE(cube.ok());
-  ExpectCubesIdentical(*cube, *scan_cube);
 }
 
 }  // namespace

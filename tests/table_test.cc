@@ -102,7 +102,8 @@ TEST(OpsTest, ProjectDistinct) {
 
 TEST(OpsTest, ProjectUnknownColumnFails) {
   Table t = MakeOrders();
-  EXPECT_FALSE(Project(t, {"nope"}).ok());
+  EXPECT_FALSE(ProjectDistinct(t, {"nope"}).ok());
+  EXPECT_FALSE(ProjectDistinct(t, {"state", "nope"}).ok());
 }
 
 TEST(OpsTest, KeyForeignKeyJoin) {
@@ -158,22 +159,6 @@ TEST(OpsTest, ScalarAggregateOfEmptyInput) {
   EXPECT_TRUE(agg->ValueAt(0, 1).is_null());
 }
 
-TEST(OpsTest, SortByNullsFirst) {
-  Table t = MakeOrders();
-  auto sorted = SortBy(t, {"ad"});
-  ASSERT_TRUE(sorted.ok());
-  EXPECT_TRUE(sorted->ValueAt(0, 3).is_null());
-  EXPECT_EQ(sorted->ValueAt(1, 3).int64(), 100);
-}
-
-TEST(OpsTest, TablesEqualUnorderedIgnoresRowOrder) {
-  Table t = MakeOrders();
-  Table shuffled = t.TakeRows({4, 2, 0, 3, 1});
-  EXPECT_TRUE(TablesEqualUnordered(t, shuffled));
-  Table different = t.TakeRows({0, 1, 2, 3, 3});
-  EXPECT_FALSE(TablesEqualUnordered(t, different));
-}
-
 TEST(CsvTest, RoundTrip) {
   Table t(Schema({{"id", DataType::kInt64},
                   {"name", DataType::kString},
@@ -185,7 +170,15 @@ TEST(CsvTest, RoundTrip) {
   ASSERT_TRUE(WriteCsv(t, path).ok());
   auto back = ReadCsv(path, t.schema());
   ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(TablesEqualUnordered(t, *back));
+  // Rows come back in file order, nulls and quoted strings intact.
+  ASSERT_EQ(back->num_rows(), t.num_rows());
+  ASSERT_EQ(back->num_columns(), t.num_columns());
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      EXPECT_TRUE(back->ValueAt(r, c) == t.ValueAt(r, c))
+          << "row " << r << " column " << c;
+    }
+  }
   std::remove(path.c_str());
 }
 
