@@ -32,6 +32,10 @@ int main(int argc, char** argv) {
   const double scale = FlagDouble(argc, argv, "scale", 1.0);
   runner.report().SetConfig("scale", scale);
 
+  constexpr const char* kRollup = "[1] rollup vs per-subset accumulation";
+  constexpr const char* kScoring = "[2] basic search scoring";
+  constexpr const char* kIceberg = "[3] feasible-region search";
+
   // ---- 1. Optimized rollup vs per-subset refits ----
   std::printf("\n[1] Theorem-1 rollup vs per-subset accumulation, "
               "time (s) by lattice size\n");
@@ -47,13 +51,13 @@ int main(int argc, char** argv) {
     runner.TimePhase("datagen", [&] {
       meta = datagen::GenerateScalability(config, &sink);
     });
-    if (!meta.ok()) return 1;
+    if (!meta.ok()) return FailSection(kRollup, meta.status());
     auto src = sink.Finish();
-    if (!src.ok()) return 1;
+    if (!src.ok()) return FailSection(kRollup, src.status());
     storage::TrainingDataSource& source = **src;
     auto subsets =
         core::ItemSubsetSpace::Create(meta->items, meta->item_hierarchies);
-    if (!subsets.ok()) return 1;
+    if (!subsets.ok()) return FailSection(kRollup, subsets.status());
     core::CubeBuildConfig cube_cfg;
     cube_cfg.min_subset_size = 1;
     cube_cfg.min_examples_per_model = 10;
@@ -62,12 +66,12 @@ int main(int argc, char** argv) {
     const double t_scan = runner.TimePhase("cube_single_scan", [&] {
       scan = core::BuildBellwetherCubeSingleScan(&source, *subsets, cube_cfg);
     });
-    if (!scan.ok()) return 1;
+    if (!scan.ok()) return FailSection(kRollup, scan.status());
     Result<core::BellwetherCube> opt = Status::OK();
     const double t_opt = runner.TimePhase("cube_optimized", [&] {
       opt = core::BuildBellwetherCubeOptimized(&source, *subsets, cube_cfg);
     });
-    if (!opt.ok()) return 1;
+    if (!opt.ok()) return FailSection(kRollup, opt.status());
     Row({Fmt(static_cast<double>(scan->cells().size()), "%.0f"),
          Fmt(t_scan, "%.2f"), Fmt(t_opt, "%.2f"),
          Fmt(t_scan / std::max(t_opt, 1e-9), "%.1fx")});
@@ -86,7 +90,7 @@ int main(int argc, char** argv) {
   runner.TimePhase("training_data_gen", [&] {
     data = core::GenerateTrainingDataInMemory(spec);
   });
-  if (!data.ok()) return 1;
+  if (!data.ok()) return FailSection(kScoring, data.status());
   storage::TrainingDataSource& source = *data->source;
   Row({"Estimate", "Time(s)", "Bellwether", "RMSE"});
   for (const bool cv : {false, true}) {
@@ -99,7 +103,8 @@ int main(int argc, char** argv) {
         cv ? "search_cv" : "search_training_set", [&] {
           r = core::RunBasicBellwetherSearch(&source, opts);
         });
-    if (!r.ok() || !r->found()) return 1;
+    if (!r.ok()) return FailSection(kScoring, r.status());
+    if (!r->found()) return FailNoBellwether(kScoring, scale);
     Row({cv ? "10-fold-CV" : "training-set", Fmt(t, "%.2f"),
          spec.space->RegionLabel(r->bellwether), Fmt(r->error.rmse)});
   }
@@ -121,7 +126,7 @@ int main(int argc, char** argv) {
           data->profile.region_coverage, budget, 0.5);
     });
     if (brute.regions != pruned.regions) {
-      std::fprintf(stderr, "MISMATCH at budget %.0f\n", budget);
+      std::fprintf(stderr, "%s: MISMATCH at budget %.0f\n", kIceberg, budget);
       return 1;
     }
     Row({Fmt(budget, "%.0f"),

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/stopwatch.h"
 #include "obs/export.h"
 #include "obs/heap_track.h"
@@ -61,6 +62,23 @@ inline void Banner(const char* id, const char* title) {
 inline void Row(const std::vector<std::string>& cells, int width = 14) {
   for (const auto& c : cells) std::printf("%-*s", width, c.c_str());
   std::printf("\n");
+}
+
+/// Ends a bench section that failed: prints the section and the status on
+/// stderr and returns the exit code 1.
+inline int FailSection(const char* section, const Status& status) {
+  std::fprintf(stderr, "%s: %s\n", section, status.ToString().c_str());
+  return 1;
+}
+
+/// Ends a bench section whose search found no bellwether region (at a small
+/// --scale no region has enough examples): says so on stderr and returns
+/// the exit code 1.
+inline int FailNoBellwether(const char* section, double scale) {
+  std::fprintf(stderr,
+               "%s: no bellwether region found at --scale=%g; raise --scale\n",
+               section, scale);
+  return 1;
 }
 
 inline std::string Fmt(double v, const char* fmt = "%.4g") {

@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
   runner.TimePhase("search_cv", [&] {
     full = core::RunBasicBellwetherSearch(&source, options);
   });
-  if (!full.ok() || !full->found()) return 1;
+  if (!full.ok()) return FailSection("[1] linear criterion", full.status());
+  if (!full->found()) return FailNoBellwether("[1] linear criterion", scale);
   Row({"w1(cost)", "w2(cover)", "Region", "RMSE", "Cost"});
   for (const auto& [w1, w2] :
        std::vector<std::pair<double, double>>{

@@ -376,8 +376,12 @@ Result<CubePrediction> BellwetherCube::PredictItem(
               return a.subset < b.subset;
             });
   for (const Candidate& c : candidates) {
-    const double* x = lookup.Find(c.cell->region, item);
+    size_t num_features = 0;
+    const double* x = lookup.Find(c.cell->region, item, &num_features);
     if (x == nullptr) continue;  // no data for the item in that region
+    if (c.cell->model.num_features() != num_features) [[unlikely]] {
+      return ModelArityMismatch(c.cell->model.num_features(), num_features);
+    }
     CubePrediction out;
     out.value = c.cell->model.Predict(x);
     out.subset = c.subset;

@@ -186,7 +186,8 @@ class BellwetherCube {
   /// containing the item, pick the model with the lowest upper `confidence`
   /// bound of error (§6.2), fetch the item's features from its bellwether
   /// region, apply the model. Cells whose region lacks data for the item are
-  /// skipped in bound order.
+  /// skipped in bound order. kFailedPrecondition when the chosen cell's
+  /// model length is not the region's feature arity.
   Result<CubePrediction> PredictItem(int32_t item,
                                      const RegionFeatureLookup& lookup,
                                      double confidence = 0.95) const;

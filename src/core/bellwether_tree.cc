@@ -103,6 +103,121 @@ std::vector<SplitCriterion> GenerateCandidates(
   return out;
 }
 
+// The value buckets of one split column at one node: RainForest's AVC-set,
+// with Theorem 1's statistic in place of class counts. Every candidate of
+// the column sends an item to a side that depends only on the item's
+// bucket, so each row is added to one bucket statistic per column instead
+// of one side statistic per candidate. A numeric column's bucket k holds
+// the values v with thresholds[k-1] <= v < thresholds[k] (T thresholds,
+// T + 1 buckets); a categorical column's bucket k is category k.
+struct ColumnBuckets {
+  size_t first_candidate = 0;  // the column's candidates are contiguous
+  size_t num_candidates = 0;
+  bool is_numeric = false;
+  int32_t column = -1;
+  int32_t num_buckets = 0;
+  std::vector<double> thresholds;  // numeric: ascending, one per candidate
+  int32_t first_slot = 0;  // RainForest: the buckets' slots in the level
+
+  // Partition errors ScoreColumnCandidates writes for all the candidates.
+  size_t num_errors() const {
+    return is_numeric ? 2 * num_candidates : static_cast<size_t>(num_buckets);
+  }
+
+  // Bucket of an item, or -1 for a null category. Candidate t's side 0
+  // (value < thresholds[t]) is exactly the buckets 0..t, as
+  // SplitCriterion::PartitionOf routes it: upper_bound counts the
+  // thresholds <= v, which is also right for repeated thresholds (the
+  // bucket between them stays empty) and for NaN (last bucket, side 1).
+  int32_t BucketOf(const ItemSplitFeatures& feats, int32_t item) const {
+    if (!is_numeric) return feats.CategoryOf(column, item);
+    return static_cast<int32_t>(
+        std::upper_bound(thresholds.begin(), thresholds.end(),
+                         feats.NumericValue(column, item)) -
+        thresholds.begin());
+  }
+};
+
+// Groups a node's candidates by column. GenerateCandidates emits a numeric
+// column's thresholds in ascending order and a categorical column as one
+// candidate whose partitions are its categories.
+std::vector<ColumnBuckets> BucketColumns(
+    const std::vector<SplitCriterion>& candidates) {
+  std::vector<ColumnBuckets> out;
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    const SplitCriterion& crit = candidates[c];
+    if (out.empty() || out.back().column != crit.column) {
+      ColumnBuckets col;
+      col.first_candidate = c;
+      col.is_numeric = crit.is_numeric;
+      col.column = crit.column;
+      col.num_buckets = crit.is_numeric ? 1 : crit.num_partitions;
+      out.push_back(std::move(col));
+    }
+    ColumnBuckets& col = out.back();
+    ++col.num_candidates;
+    if (crit.is_numeric) {
+      col.thresholds.push_back(crit.threshold);
+      ++col.num_buckets;
+    }
+  }
+  return out;
+}
+
+// Scores the column's candidates [first, last) from its bucket statistics,
+// writing each candidate's partition errors in turn to `errors`. A numeric
+// threshold t's side 0 merges buckets 0..t in ascending order and its side
+// 1 merges buckets T..t+1 in descending order, whatever [first, last) is:
+// both builders call this, so Lemma 1 holds bit for bit. `side` is scratch
+// of the buckets' arity.
+void ScoreColumnCandidates(const ColumnBuckets& col,
+                           const RegressionSuffStats* buckets, size_t first,
+                           size_t last, int32_t min_examples,
+                           RegressionSuffStats* side, double* errors) {
+  if (!col.is_numeric) {
+    for (int32_t p = 0; p < col.num_buckets; ++p) {
+      errors[p] = TrainingErrorOfStats(buckets[p], min_examples);
+    }
+    return;
+  }
+  side->Reset();
+  for (size_t k = 0; k < first; ++k) side->Merge(buckets[k]);
+  for (size_t t = first; t < last; ++t) {
+    side->Merge(buckets[t]);
+    errors[2 * (t - first)] = TrainingErrorOfStats(*side, min_examples);
+  }
+  side->Reset();
+  for (size_t k = col.thresholds.size(); k > last; --k) {
+    side->Merge(buckets[k]);
+  }
+  for (size_t t = last; t-- > first;) {
+    side->Merge(buckets[t + 1]);
+    errors[2 * (t - first) + 1] = TrainingErrorOfStats(*side, min_examples);
+  }
+}
+
+// Adds each row of a region's set, in row order, to the statistics its
+// item's `stride` slots name (-1 skips a slot; a first slot of -1 skips the
+// row). Flattened because RegressionSuffStats::Add is meant to inline into
+// its caller's row loop, and GCC at -O2 keeps it out of line inside the
+// large level-scan lambda.
+[[gnu::flatten]] void AccumulateLevelRows(const RegionTrainingSet& set,
+                                          const int32_t* item_slots,
+                                          size_t stride,
+                                          RegressionSuffStats* stats) {
+  for (size_t row = 0; row < set.num_examples(); ++row) {
+    const int32_t* slots =
+        &item_slots[static_cast<size_t>(set.items[row]) * stride];
+    if (slots[0] < 0) continue;
+    const double* x = set.row(row);
+    const double y = set.targets[row];
+    const double w = set.weight(row);
+    for (size_t k = 0; k < stride; ++k) {
+      if (slots[k] >= 0) stats[slots[k]].Add(x, y, w);
+    }
+  }
+}
+
 // Goodness(c) = |S| Error(h_r|S) - sum_p |S_p| Error(h_rp|S_p), with -inf
 // when some non-empty partition has no trainable model in any region.
 double ComputeGoodness(double node_error, int64_t node_size,
@@ -275,9 +390,13 @@ Result<double> BellwetherTree::PredictItem(
     return Status::FailedPrecondition("no node on the path has a model");
   }
   const TreeNode& n = nodes_[node];
-  const double* x = lookup.Find(n.region, item);
+  size_t num_features = 0;
+  const double* x = lookup.Find(n.region, item, &num_features);
   if (x == nullptr) {
     return Status::NotFound("item has no data in the bellwether region");
+  }
+  if (n.model.num_features() != num_features) [[unlikely]] {
+    return ModelArityMismatch(n.model.num_features(), num_features);
   }
   return n.model.Predict(x);
 }
@@ -439,7 +558,8 @@ Result<BellwetherTree> BuildBellwetherTreeNaive(
   std::deque<PendingNode> queue;
   queue.push_back(PendingNode{0, RootItems(*feats, item_mask)});
 
-  // Scratch: item -> partition (or -2 when the item is not in the node).
+  // Scratch: item -> bucket in the column being evaluated (-1 for a null
+  // category, -2 when the item is not in the node).
   std::vector<int32_t> membership(num_items, 0);
 
   const size_t num_sets = source->num_region_sets();
@@ -472,7 +592,7 @@ Result<BellwetherTree> BuildBellwetherTreeNaive(
     }
 
     // 2. Candidate evaluation: one pass per splitting criterion (the naive
-    //    algorithm's l*m scans).
+    //    algorithm's l*m scans), each accumulating its column's buckets.
     std::vector<SplitCriterion> candidates;
     std::vector<std::vector<double>> min_error;
     const bool active =
@@ -481,35 +601,40 @@ Result<BellwetherTree> BuildBellwetherTreeNaive(
     if (active) {
       candidates = GenerateCandidates(*feats, work.items, config);
       min_error.resize(candidates.size());
-      for (size_t c = 0; c < candidates.size(); ++c) {
-        const SplitCriterion& crit = candidates[c];
-        for (int32_t i : work.items) {
-          membership[i] = crit.PartitionOf(*feats, i);
-        }
-        min_error[c].assign(crit.num_partitions, kInf);
-        std::vector<RegressionSuffStats> part_stats(
-            crit.num_partitions, RegressionSuffStats(p_features));
-        ++telemetry.data_passes;
-        ++telemetry.candidates_evaluated;
+      RegressionSuffStats side(p_features);
+      std::vector<double> errors;
+      for (const ColumnBuckets& col : BucketColumns(candidates)) {
+        for (int32_t i : work.items) membership[i] = col.BucketOf(*feats, i);
+        std::vector<RegressionSuffStats> buckets(
+            col.num_buckets, RegressionSuffStats(p_features));
         telemetry.suff_stats_peak = std::max<int64_t>(
-            telemetry.suff_stats_peak, crit.num_partitions);
-        for (size_t s = 0; s < num_sets; ++s) {
-          BW_ASSIGN_OR_RETURN(RegionTrainingSet set, source->Read(s));
-          ++telemetry.region_reads;
-          for (auto& st : part_stats) st.Reset();
-          for (size_t row = 0; row < set.num_examples(); ++row) {
-            const int32_t m = membership[set.items[row]];
-            if (m >= 0) part_stats[m].Add(set.row(row), set.targets[row], set.weight(row));
-          }
-          for (int32_t p = 0; p < crit.num_partitions; ++p) {
-            min_error[c][p] = std::min(
-                min_error[c][p],
-                TrainingErrorOfStats(part_stats[p],
-                                     config.min_examples_per_model));
+            telemetry.suff_stats_peak, col.num_buckets);
+        for (size_t t = 0; t < col.num_candidates; ++t) {
+          std::vector<double>& min_err = min_error[col.first_candidate + t];
+          min_err.assign(candidates[col.first_candidate + t].num_partitions,
+                         kInf);
+          errors.resize(min_err.size());
+          ++telemetry.data_passes;
+          ++telemetry.candidates_evaluated;
+          for (size_t s = 0; s < num_sets; ++s) {
+            BW_ASSIGN_OR_RETURN(RegionTrainingSet set, source->Read(s));
+            ++telemetry.region_reads;
+            for (auto& st : buckets) st.Reset();
+            for (size_t row = 0; row < set.num_examples(); ++row) {
+              const int32_t b = membership[set.items[row]];
+              if (b >= 0) {
+                buckets[b].Add(set.row(row), set.targets[row],
+                               set.weight(row));
+              }
+            }
+            ScoreColumnCandidates(col, buckets.data(), t, t + 1,
+                                  config.min_examples_per_model, &side,
+                                  errors.data());
+            for (size_t p = 0; p < min_err.size(); ++p) {
+              min_err[p] = std::min(min_err[p], errors[p]);
+            }
           }
         }
-        // Restore plain membership for the next candidate.
-        for (int32_t i : work.items) membership[i] = -1;
       }
     }
 
@@ -557,10 +682,14 @@ Result<BellwetherTree> BuildBellwetherTreeRainForest(
   std::deque<PendingNode> level;
   level.push_back(PendingNode{0, RootItems(*feats, item_mask)});
 
-  // Per level-position evaluation state.
+  // Per level-position evaluation state. The region's statistics of a
+  // level sit in one flat vector: node v's own statistic at `self_slot`,
+  // then the buckets of each of its candidate columns.
   struct NodeEval {
-    bool active = false;
     std::vector<SplitCriterion> candidates;
+    std::vector<ColumnBuckets> columns;
+    int32_t self_slot = 0;
+    int32_t first_error = 0;  // self, then each candidate's partitions
     BellwetherPick self;
     std::vector<std::vector<double>> min_error;  // [cand][partition]
   };
@@ -568,98 +697,88 @@ Result<BellwetherTree> BuildBellwetherTreeRainForest(
   struct RegionLevelStats {
     olap::RegionId region = olap::kInvalidRegion;
     int32_t num_features = -1;  // arity the statistics are sized for
-    std::vector<RegressionSuffStats> self_stats;                      // [v]
-    std::vector<std::vector<std::vector<RegressionSuffStats>>> part;  // [v][c][p]
-    std::vector<double> self_error;                                   // [v]
-    std::vector<std::vector<std::vector<double>>> part_error;         // [v][c][p]
+    std::vector<RegressionSuffStats> stats;  // [slot]
+    RegressionSuffStats side;                // ScoreColumnCandidates scratch
+    std::vector<double> errors;              // NodeEval::first_error layout
   };
 
   while (!level.empty()) {
     const size_t width = level.size();
     std::vector<NodeEval> evals(width);
-    std::vector<int32_t> node_of_item(num_items, -1);
+    // Statistic slots of an item at this level: its node's, then one
+    // bucket per split column (-1: no candidate on that column, or a null
+    // category); a first entry of -1 means the item is in no node.
+    const size_t stride = 1 + feats->num_columns();
+    std::vector<int32_t> item_slots(static_cast<size_t>(num_items) * stride,
+                                    -1);
+    int32_t num_slots = 0;
+    int32_t num_errors = 0;
     for (size_t v = 0; v < width; ++v) {
       const PendingNode& work = level[v];
       TreeNode& node = nodes[work.node_index];
+      NodeEval& e = evals[v];
       node.num_items = static_cast<int32_t>(work.items.size());
-      for (int32_t i : work.items) node_of_item[i] = static_cast<int32_t>(v);
-      evals[v].active = node.depth < config.max_depth &&
-                        node.num_items >= config.min_items;
-      if (evals[v].active) {
-        evals[v].candidates = GenerateCandidates(*feats, work.items, config);
-        evals[v].min_error.resize(evals[v].candidates.size());
-        for (size_t c = 0; c < evals[v].candidates.size(); ++c) {
-          evals[v].min_error[c].assign(evals[v].candidates[c].num_partitions,
-                                       kInf);
+      if (node.depth < config.max_depth &&
+          node.num_items >= config.min_items) {
+        e.candidates = GenerateCandidates(*feats, work.items, config);
+        e.columns = BucketColumns(e.candidates);
+        e.min_error.resize(e.candidates.size());
+        for (size_t c = 0; c < e.candidates.size(); ++c) {
+          e.min_error[c].assign(e.candidates[c].num_partitions, kInf);
         }
       }
+      e.self_slot = num_slots++;
+      e.first_error = num_errors++;
+      for (ColumnBuckets& col : e.columns) {
+        col.first_slot = num_slots;
+        num_slots += col.num_buckets;
+        num_errors += static_cast<int32_t>(col.num_errors());
+      }
+      for (int32_t i : work.items) {
+        int32_t* slots = &item_slots[static_cast<size_t>(i) * stride];
+        slots[0] = e.self_slot;
+        for (const ColumnBuckets& col : e.columns) {
+          const int32_t b = col.BucketOf(*feats, i);
+          if (b >= 0) slots[1 + col.column] = col.first_slot + b;
+        }
+      }
+      telemetry.candidates_evaluated +=
+          static_cast<int64_t>(e.candidates.size());
     }
 
     // One sequential scan of the entire training data for the whole level.
     obs::TraceSpan level_span("RainForestLevelScan", "tree");
     Stopwatch level_watch;
     ++telemetry.data_passes;
-    int64_t level_stats = 0;
-    for (const auto& e : evals) {
-      level_stats += 1;  // self_stats
-      for (const auto& c : e.candidates) level_stats += c.num_partitions;
-      telemetry.candidates_evaluated +=
-          static_cast<int64_t>(e.candidates.size());
-    }
     telemetry.suff_stats_peak =
-        std::max(telemetry.suff_stats_peak, level_stats);
+        std::max<int64_t>(telemetry.suff_stats_peak, num_slots);
 
-    // A region's level statistics: the node's own statistic and one per
-    // candidate partition, accumulated in row order, then their errors.
-    const auto compute = [&feats, &evals, &node_of_item, &config, width](
-                             const RegionTrainingSet& set,
-                             RegionLevelStats* r) {
+    // A region's level statistics: each row is added, in row order, to its
+    // node's statistic and to one bucket per candidate column; then every
+    // node's error and every candidate's partition errors.
+    const auto compute = [&evals, &item_slots, &config, stride, num_slots,
+                          num_errors](const RegionTrainingSet& set,
+                                      RegionLevelStats* r) {
       r->region = set.region;
       if (r->num_features != set.num_features) {
         r->num_features = set.num_features;
-        r->self_stats.assign(width, RegressionSuffStats(set.num_features));
-        r->self_error.assign(width, kInf);
-        r->part.resize(width);
-        r->part_error.resize(width);
-        for (size_t v = 0; v < width; ++v) {
-          const NodeEval& e = evals[v];
-          r->part[v].resize(e.candidates.size());
-          r->part_error[v].resize(e.candidates.size());
-          for (size_t c = 0; c < e.candidates.size(); ++c) {
-            r->part[v][c].assign(e.candidates[c].num_partitions,
-                                 RegressionSuffStats(set.num_features));
-            r->part_error[v][c].assign(e.candidates[c].num_partitions, kInf);
-          }
-        }
+        r->stats.assign(num_slots, RegressionSuffStats(set.num_features));
+        r->side = RegressionSuffStats(set.num_features);
+        r->errors.assign(num_errors, kInf);
       } else {
-        for (size_t v = 0; v < width; ++v) {
-          r->self_stats[v].Reset();
-          for (auto& ps : r->part[v]) {
-            for (auto& st : ps) st.Reset();
-          }
-        }
+        for (auto& st : r->stats) st.Reset();
       }
-      for (size_t row = 0; row < set.num_examples(); ++row) {
-        const int32_t v = node_of_item[set.items[row]];
-        if (v < 0) continue;
-        const NodeEval& e = evals[v];
-        r->self_stats[v].Add(set.row(row), set.targets[row], set.weight(row));
-        for (size_t c = 0; c < e.candidates.size(); ++c) {
-          const int32_t p = e.candidates[c].PartitionOf(*feats, set.items[row]);
-          if (p >= 0) {
-            r->part[v][c][p].Add(set.row(row), set.targets[row],
-                                 set.weight(row));
-          }
-        }
-      }
-      for (size_t v = 0; v < width; ++v) {
-        r->self_error[v] = TrainingErrorOfStats(r->self_stats[v],
-                                                config.min_examples_per_model);
-        for (size_t c = 0; c < r->part[v].size(); ++c) {
-          for (size_t p = 0; p < r->part[v][c].size(); ++p) {
-            r->part_error[v][c][p] = TrainingErrorOfStats(
-                r->part[v][c][p], config.min_examples_per_model);
-          }
+      AccumulateLevelRows(set, item_slots.data(), stride, r->stats.data());
+      for (const NodeEval& e : evals) {
+        r->errors[e.first_error] = TrainingErrorOfStats(
+            r->stats[e.self_slot], config.min_examples_per_model);
+        double* errors = &r->errors[e.first_error + 1];
+        for (const ColumnBuckets& col : e.columns) {
+          ScoreColumnCandidates(col, &r->stats[col.first_slot], 0,
+                                col.num_candidates,
+                                config.min_examples_per_model, &r->side,
+                                errors);
+          errors += col.num_errors();
         }
       }
       return r;
@@ -676,14 +795,12 @@ Result<BellwetherTree> BuildBellwetherTreeRainForest(
     exec::MergeInSubmissionOrder<RegionLevelStats*> reducer(
         pool.get(), /*max_outstanding=*/2 * static_cast<size_t>(num_threads),
         "tree.level_scan", [&](size_t, RegionLevelStats* r) -> Status {
-          for (size_t v = 0; v < width; ++v) {
-            NodeEval& e = evals[v];
-            e.self.Offer(r->self_error[v], r->region, r->self_stats[v]);
-            for (size_t c = 0; c < e.min_error.size(); ++c) {
-              for (size_t p = 0; p < e.min_error[c].size(); ++p) {
-                e.min_error[c][p] =
-                    std::min(e.min_error[c][p], r->part_error[v][c][p]);
-              }
+          for (NodeEval& e : evals) {
+            e.self.Offer(r->errors[e.first_error], r->region,
+                         r->stats[e.self_slot]);
+            const double* errors = &r->errors[e.first_error + 1];
+            for (auto& min_err : e.min_error) {
+              for (double& m : min_err) m = std::min(m, *errors++);
             }
           }
           buffers.Release(r);

@@ -106,7 +106,11 @@ struct TreeBuildTelemetry {
   int64_t nodes_created = 0;
   int64_t levels = 0;
   int64_t candidates_evaluated = 0;  // (node, criterion) pairs scored
-  int64_t suff_stats_peak = 0;  // most sufficient statistics live at once
+  /// Most sufficient statistics accumulated by one pass: RainForest counts
+  /// a level's node statistics plus their columns' value-bucket statistics
+  /// (T + 1 per numeric column with T thresholds, one per category); naive
+  /// counts one node statistic, or one column's buckets.
+  int64_t suff_stats_peak = 0;
   int64_t ridge_refits = 0;     // node fits recovered by the ridge tier
   int64_t mean_fallbacks = 0;   // node fits degraded to the mean model
   double build_seconds = 0.0;
@@ -134,7 +138,9 @@ class BellwetherTree {
 
   /// Predicts the target of `item`: routes to a node, fetches the item's
   /// regional features from that node's bellwether region, applies the
-  /// model. Fails when the item has no data in the region.
+  /// model. kNotFound when the item has no data in the region;
+  /// kFailedPrecondition when the model's length is not the region's
+  /// feature arity (a model file written for other data).
   Result<double> PredictItem(int32_t item,
                              const RegionFeatureLookup& lookup) const;
 
@@ -183,8 +189,9 @@ struct TreeBuildConfig {
 
 /// Builds the tree with the naive algorithm of Fig. 4: one pass over the
 /// entire training data per (node, splitting criterion), issued as random
-/// region reads against the source. When `item_mask` is non-null, only
-/// masked items participate.
+/// region reads against the source. Each pass accumulates the criterion's
+/// column buckets and scores them as the RainForest builder does. When
+/// `item_mask` is non-null, only masked items participate.
 Result<BellwetherTree> BuildBellwetherTreeNaive(
     storage::TrainingDataSource* source, const table::Table& item_table,
     const TreeBuildConfig& config,
@@ -192,8 +199,10 @@ Result<BellwetherTree> BuildBellwetherTreeNaive(
 
 /// Builds the tree with the RainForest-style algorithm of Fig. 4: one
 /// sequential scan of the entire training data per tree level, collecting
-/// the sufficient statistic {<MinError[v,c,p], Size[v,c,p]>}. Produces a
-/// tree identical to the naive builder's (Lemma 1).
+/// the sufficient statistic {<MinError[v,c,p], Size[v,c,p]>}. Each row is
+/// added to its node's statistic and to one value bucket per candidate
+/// column; a threshold's sides are merges of the buckets (Theorem 1).
+/// Produces a tree identical to the naive builder's (Lemma 1).
 Result<BellwetherTree> BuildBellwetherTreeRainForest(
     storage::TrainingDataSource* source, const table::Table& item_table,
     const TreeBuildConfig& config,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <utility>
 
 namespace bellwether::core {
@@ -37,6 +38,13 @@ regression::Dataset ToDataset(const storage::RegionTrainingSet& set,
   return data;
 }
 
+Status ModelArityMismatch(size_t model_features, size_t row_features) {
+  return Status::FailedPrecondition(
+      "model has " + std::to_string(model_features) +
+      " coefficients but the region's feature rows have " +
+      std::to_string(row_features));
+}
+
 int64_t FindItemRow(const storage::RegionTrainingSet& set, int32_t item) {
   auto it = std::lower_bound(set.items.begin(), set.items.end(), item);
   if (it == set.items.end() || *it != item) return -1;
@@ -53,13 +61,17 @@ RegionFeatureLookup::RegionFeatureLookup(
   std::sort(region_index_.begin(), region_index_.end());
 }
 
-const double* RegionFeatureLookup::Find(int64_t region, int32_t item) const {
+const double* RegionFeatureLookup::Find(int64_t region, int32_t item,
+                                        size_t* num_features) const {
   auto it = std::lower_bound(region_index_.begin(), region_index_.end(),
                              std::make_pair(region, size_t{0}));
   if (it == region_index_.end() || it->first != region) return nullptr;
   const auto& set = (*sets_)[it->second];
   const int64_t row = FindItemRow(set, item);
   if (row < 0) return nullptr;
+  if (num_features != nullptr) {
+    *num_features = static_cast<size_t>(set.num_features);
+  }
   return set.row(static_cast<size_t>(row));
 }
 

@@ -32,6 +32,13 @@ int64_t FindItemRow(const storage::RegionTrainingSet& set, int32_t item);
 /// order in which regions are evaluated.
 uint64_t RegionSeed(uint64_t base_seed, int64_t region);
 
+/// The error of applying a model of `model_features` coefficients to a
+/// feature row of `row_features` values (a model file written for other
+/// data). Kept out of line and cold, so the prediction paths that check
+/// for it only branch.
+[[gnu::cold]] Status ModelArityMismatch(size_t model_features,
+                                        size_t row_features);
+
 /// Random access to the regional feature vector phi_{i,r} of an item, over
 /// materialized region training sets. Used at prediction time: after a
 /// bellwether region is chosen for a new item, its regional features are
@@ -43,8 +50,10 @@ class RegionFeatureLookup {
       const std::vector<storage::RegionTrainingSet>* sets);
 
   /// Feature row of `item` in `region`, or nullptr when the item has no data
-  /// there (or the region is not materialized).
-  const double* Find(int64_t region, int32_t item) const;
+  /// there (or the region is not materialized). When `num_features` is
+  /// non-null, a found row's length (its set's arity) is stored there.
+  const double* Find(int64_t region, int32_t item,
+                     size_t* num_features = nullptr) const;
 
   /// Target of `item` in `region`'s set, or NaN.
   double TargetOf(int64_t region, int32_t item) const;

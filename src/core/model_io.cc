@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <string>
 
 #include "common/atomic_file.h"
 #include "common/checksummed_io.h"
@@ -75,6 +76,20 @@ Result<regression::FitDegradation> ReadDegradation(std::istream& in) {
   return static_cast<regression::FitDegradation>(d);
 }
 
+// Every model of one tree or cube is fit on the same regional features, so
+// models that differ in length mark a corrupt file. `arity` starts at -1
+// and takes the first model's length.
+Status CheckModelArity(const regression::LinearModel& model, int64_t* arity) {
+  const auto n = static_cast<int64_t>(model.num_features());
+  if (*arity < 0) *arity = n;
+  if (n != *arity) {
+    return Status::InvalidArgument(
+        "model length " + std::to_string(n) + " differs from " +
+        std::to_string(*arity) + " of an earlier model");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status SaveBellwetherTree(const BellwetherTree& tree,
@@ -129,6 +144,7 @@ Result<BellwetherTree> LoadBellwetherTree(const std::string& path,
     return Status::IoError("missing or implausible node count");
   }
   std::vector<TreeNode> nodes(num_nodes);
+  int64_t model_arity = -1;
   for (int64_t index = 0; index < num_nodes; ++index) {
     TreeNode& n = nodes[index];
     int has_model = 0, is_numeric = 0;
@@ -143,6 +159,9 @@ Result<BellwetherTree> LoadBellwetherTree(const std::string& path,
     n.region = region;
     BW_ASSIGN_OR_RETURN(std::vector<double> beta, ReadVector(in));
     n.model = regression::LinearModel(std::move(beta));
+    if (n.has_model) {
+      BW_RETURN_IF_ERROR(CheckModelArity(n.model, &model_arity));
+    }
     if (!(in >> n.split.column >> is_numeric)) {
       return Status::IoError("truncated split");
     }
@@ -220,6 +239,7 @@ Result<BellwetherCube> LoadBellwetherCube(
   }
   std::vector<int64_t> cell_of(num_subsets, -1);
   std::vector<CubeCell> cells(num_cells);
+  int64_t model_arity = -1;
   for (int64_t k = 0; k < num_cells; ++k) {
     CubeCell& cell = cells[k];
     int has_model = 0, has_cv = 0, fallback_pick = 0;
@@ -248,6 +268,9 @@ Result<BellwetherCube> LoadBellwetherCube(
     cell.fallback_pick = fallback_pick != 0;
     BW_ASSIGN_OR_RETURN(std::vector<double> beta, ReadVector(in));
     cell.model = regression::LinearModel(std::move(beta));
+    if (cell.has_model) {
+      BW_RETURN_IF_ERROR(CheckModelArity(cell.model, &model_arity));
+    }
     cell_of[subset] = k;
   }
   return BellwetherCube(std::move(subsets), std::move(cell_of),

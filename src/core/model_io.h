@@ -30,8 +30,9 @@ Status SaveBellwetherTree(const BellwetherTree& tree,
 /// table the tree was built against; pass it to rebuild the split-feature
 /// view. A tree that could not route is kInvalidArgument: a child index not
 /// greater than its parent's (the builders number nodes breadth-first, which
-/// is what makes routing terminate), or a split column that is out of range
-/// or of the other kind (numeric vs categorical).
+/// is what makes routing terminate), a split column that is out of range
+/// or of the other kind (numeric vs categorical), or model-bearing nodes
+/// whose models differ in length.
 Result<BellwetherTree> LoadBellwetherTree(
     const std::string& path, const table::Table& item_table);
 
@@ -42,7 +43,8 @@ Status SaveBellwetherCube(const BellwetherCube& cube,
                           const std::string& path);
 
 /// Loads a cube saved by SaveBellwetherCube. The subset space must be
-/// recreated from the same item table and hierarchies.
+/// recreated from the same item table and hierarchies. Model-bearing cells
+/// whose models differ in length are kInvalidArgument.
 Result<BellwetherCube> LoadBellwetherCube(
     const std::string& path,
     std::shared_ptr<const ItemSubsetSpace> subsets);

@@ -82,11 +82,7 @@ TEST(IntegrationTest, TreeLemmaHoldsOnRealPipelineData) {
       BuildBellwetherTreeRainForest(&source, dataset.items, tree_config);
   ASSERT_TRUE(naive.ok());
   ASSERT_TRUE(rf.ok());
-  ASSERT_EQ(naive->nodes().size(), rf->nodes().size());
-  for (size_t i = 0; i < naive->nodes().size(); ++i) {
-    EXPECT_EQ(naive->nodes()[i].region, rf->nodes()[i].region);
-    EXPECT_EQ(naive->nodes()[i].children, rf->nodes()[i].children);
-  }
+  ExpectTreesEqual(*naive, *rf);
 }
 
 TEST(IntegrationTest, CubeLemmaHoldsOnRealPipelineData) {

@@ -3,7 +3,7 @@
 // the checksummed state file rejects every flip), version-mismatched
 // headers are told apart from garbage, implausible counts are rejected
 // before allocation, non-finite values round-trip, and a tree that could
-// not route is rejected.
+// not route, or models of mixed length, are rejected.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,7 @@
 #include "core/bellwether_cube.h"
 #include "core/bellwether_state.h"
 #include "core/bellwether_tree.h"
+#include "core/eval_util.h"
 #include "core/model_io.h"
 #include "datagen/simulation.h"
 #include "regression/linear_model.h"
@@ -188,13 +189,136 @@ TEST(ModelIoCorruptionTest, LinearModelWithInfAndNanRoundTrips) {
   auto cube = BuildBellwetherCubeOptimized(&source, subsets, config);
   ASSERT_TRUE(cube.ok());
   ASSERT_FALSE(cube->cells().empty());
-  cube->mutable_cells()[0].model = regression::LinearModel(beta);
+  // Every model the same length: the loader rejects mixed lengths.
+  for (CubeCell& cell : cube->mutable_cells()) {
+    if (cell.has_model) cell.model = regression::LinearModel(beta);
+  }
+  ASSERT_TRUE(cube->cells()[0].has_model);
   const std::string cube_path = TestTempPath("inf.bwc");
   ASSERT_TRUE(SaveBellwetherCube(*cube, cube_path).ok());
   auto back = LoadBellwetherCube(cube_path, subsets);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   expect_beta(back->cells()[0].model);
   std::remove(cube_path.c_str());
+}
+
+// ---- Model lengths ----
+
+// A model longer than the region's feature rows would make PredictItem read
+// past the row. The loaders reject models that differ in length from one
+// another; PredictItem rejects a model whose length is not the row's.
+std::vector<double> SixtyFourEntries(const regression::LinearModel& model) {
+  std::vector<double> beta = model.beta();
+  beta.resize(64, 0.5);
+  return beta;
+}
+
+TEST(ModelIoCorruptionTest, TreeModelLengthsAreCheckedAtLoadAndPredict) {
+  datagen::SimulationDataset sim = MakeSim(89);
+  storage::MemoryTrainingData source(sim.sets);
+  TreeBuildConfig config;
+  config.split_columns = sim.feature_columns;
+  config.min_items = 40;
+  config.max_depth = 3;
+  config.min_examples_per_model = 10;
+  auto tree = BuildBellwetherTreeRainForest(&source, sim.items, config);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_GT(tree->nodes().size(), 1u);
+  auto feats = ItemSplitFeatures::Create(sim.items, sim.feature_columns);
+  ASSERT_TRUE(feats.ok());
+  const RegionFeatureLookup lookup(&sim.sets);
+  const std::string path = TestTempPath("arity.bwt");
+
+  // Every model 64 long: consistent, so it loads, but no prediction may
+  // read 64 features from the region's shorter rows.
+  std::vector<TreeNode> nodes = tree->nodes();
+  for (TreeNode& n : nodes) {
+    if (n.has_model) {
+      n.model = regression::LinearModel(SixtyFourEntries(n.model));
+    }
+  }
+  ASSERT_TRUE(SaveBellwetherTree(BellwetherTree(*feats, nodes), path).ok());
+  auto loaded = LoadBellwetherTree(path, sim.items);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  int32_t predicted = 0;
+  for (int32_t item = 0; item < feats.value()->num_items(); ++item) {
+    auto want = tree->PredictItem(item, lookup);
+    auto got = loaded->PredictItem(item, lookup);
+    ASSERT_FALSE(got.ok()) << "item " << item;
+    if (want.ok()) {
+      ++predicted;
+      EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition)
+          << "item " << item;
+    } else {
+      EXPECT_EQ(got.status().code(), want.status().code()) << "item " << item;
+    }
+  }
+  EXPECT_GT(predicted, 0);
+
+  // One node's model longer than the others': a corrupt file.
+  nodes = tree->nodes();
+  nodes.back().model = regression::LinearModel(
+      SixtyFourEntries(nodes.back().model));
+  ASSERT_TRUE(nodes.back().has_model);
+  ASSERT_TRUE(SaveBellwetherTree(BellwetherTree(*feats, nodes), path).ok());
+  loaded = LoadBellwetherTree(path, sim.items);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(ModelIoCorruptionTest, CubeModelLengthsAreCheckedAtLoadAndPredict) {
+  datagen::SimulationDataset sim = MakeSim(91);
+  auto subsets = SimSubsets(sim);
+  ASSERT_NE(subsets, nullptr);
+  storage::MemoryTrainingData source(sim.sets);
+  CubeBuildConfig config;
+  config.min_subset_size = 20;
+  config.min_examples_per_model = 8;
+  config.compute_cv_stats = false;
+  auto cube = BuildBellwetherCubeOptimized(&source, subsets, config);
+  ASSERT_TRUE(cube.ok());
+  const RegionFeatureLookup lookup(&sim.sets);
+  const std::string path = TestTempPath("arity.bwc");
+
+  BellwetherCube long_models = *cube;
+  for (CubeCell& cell : long_models.mutable_cells()) {
+    if (cell.has_model) {
+      cell.model = regression::LinearModel(SixtyFourEntries(cell.model));
+    }
+  }
+  ASSERT_TRUE(SaveBellwetherCube(long_models, path).ok());
+  auto loaded = LoadBellwetherCube(path, subsets);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  int32_t predicted = 0;
+  for (int32_t item = 0; item < static_cast<int32_t>(sim.targets.size());
+       ++item) {
+    auto want = cube->PredictItem(item, lookup);
+    auto got = loaded->PredictItem(item, lookup);
+    ASSERT_FALSE(got.ok()) << "item " << item;
+    if (want.ok()) {
+      ++predicted;
+      EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition)
+          << "item " << item;
+    } else {
+      EXPECT_EQ(got.status().code(), want.status().code()) << "item " << item;
+    }
+  }
+  EXPECT_GT(predicted, 0);
+
+  // One cell's model longer than the others'.
+  BellwetherCube one_long = *cube;
+  CubeCell* last = nullptr;
+  for (CubeCell& cell : one_long.mutable_cells()) {
+    if (cell.has_model) last = &cell;
+  }
+  ASSERT_NE(last, nullptr);
+  last->model = regression::LinearModel(SixtyFourEntries(last->model));
+  ASSERT_TRUE(SaveBellwetherCube(one_long, path).ok());
+  loaded = LoadBellwetherCube(path, subsets);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
 }
 
 // ---- Trees that could not route ----

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "core/bellwether_tree.h"
 #include "robust/fault_injection.h"
 
 namespace bellwether {
@@ -43,6 +44,34 @@ class ScopedFaults {
   ScopedFaults& operator=(const ScopedFaults&) = delete;
 };
 
+namespace core {
+
+/// Lemma 1's equality: node for node, the same shape, bellwether regions,
+/// errors, splits and goodness.
+inline void ExpectTreesEqual(const BellwetherTree& a, const BellwetherTree& b) {
+  ASSERT_EQ(a.nodes().size(), b.nodes().size());
+  for (size_t i = 0; i < a.nodes().size(); ++i) {
+    const TreeNode& na = a.nodes()[i];
+    const TreeNode& nb = b.nodes()[i];
+    EXPECT_EQ(na.depth, nb.depth) << "node " << i;
+    EXPECT_EQ(na.num_items, nb.num_items) << "node " << i;
+    EXPECT_EQ(na.has_model, nb.has_model) << "node " << i;
+    EXPECT_EQ(na.region, nb.region) << "node " << i;
+    if (na.has_model) {
+      EXPECT_DOUBLE_EQ(na.error, nb.error) << "node " << i;
+    }
+    EXPECT_EQ(na.children, nb.children) << "node " << i;
+    if (!na.is_leaf()) {
+      EXPECT_EQ(na.split.column, nb.split.column) << "node " << i;
+      EXPECT_EQ(na.split.is_numeric, nb.split.is_numeric) << "node " << i;
+      EXPECT_DOUBLE_EQ(na.split.threshold, nb.split.threshold)
+          << "node " << i;
+      EXPECT_DOUBLE_EQ(na.goodness, nb.goodness) << "node " << i;
+    }
+  }
+}
+
+}  // namespace core
 }  // namespace bellwether
 
 #endif  // BELLWETHER_TESTS_TEST_UTIL_H_
