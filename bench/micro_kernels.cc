@@ -1,17 +1,25 @@
 // Micro-benchmarks (google-benchmark) of the kernels the bellwether
 // algorithms are built from: regression sufficient-statistics accumulation
 // and merging (Theorem 1's g and q), WLS solves, k-fold cross-validation,
-// CUBE rollup, region enumeration, the iceberg feasible-region search, and
-// spill-file record reads.
+// CUBE rollup, region enumeration, the iceberg feasible-region search,
+// spill-file record reads, and item-centric prediction through a cube, a
+// tree and the regional feature lookup.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "bench/bench_util.h"
 #include "common/random.h"
+#include "core/bellwether_cube.h"
+#include "core/bellwether_tree.h"
+#include "core/eval_util.h"
+#include "core/training_data_gen.h"
 #include "datagen/hierarchy_util.h"
+#include "datagen/mail_order.h"
 #include "olap/cost.h"
 #include "olap/cube.h"
 #include "olap/iceberg.h"
@@ -313,6 +321,109 @@ void BM_SpillRead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpillRead);
+
+// A mail-order cube and tree (§7.1's 400 items, Fig. 8's tree shape) with
+// the lookup they predict through, built once on first use.
+struct PredictFixture {
+  datagen::MailOrderDataset dataset;
+  std::unique_ptr<core::GeneratedTrainingData> data;
+  std::unique_ptr<core::RegionFeatureLookup> lookup;
+  std::unique_ptr<core::BellwetherCube> cube;
+  std::unique_ptr<core::BellwetherTree> tree;
+  int32_t num_items = 0;
+};
+
+const PredictFixture& Predict() {
+  static const PredictFixture* fixture = [] {
+    auto* f = new PredictFixture();
+    f->dataset = datagen::GenerateMailOrder(datagen::MailOrderConfig{});
+    const core::BellwetherSpec spec = f->dataset.MakeSpec(60.0, 0.5);
+    auto data = core::GenerateTrainingDataInMemory(spec);
+    if (!data.ok()) std::abort();
+    f->data =
+        std::make_unique<core::GeneratedTrainingData>(std::move(*data));
+    f->lookup = std::make_unique<core::RegionFeatureLookup>(
+        f->data->memory_sets());
+    auto subsets = core::ItemSubsetSpace::Create(
+        f->dataset.items, f->dataset.item_hierarchies);
+    if (!subsets.ok()) std::abort();
+    core::CubeBuildConfig cube_config;
+    cube_config.min_subset_size = 25;
+    cube_config.min_examples_per_model = 20;
+    auto cube = core::BuildBellwetherCubeOptimized(f->data->source.get(),
+                                                   *subsets, cube_config);
+    if (!cube.ok()) std::abort();
+    f->cube = std::make_unique<core::BellwetherCube>(std::move(*cube));
+    core::TreeBuildConfig tree_config;
+    tree_config.split_columns = {"Category", "ExpenseRange", "RDExpense"};
+    tree_config.min_items = 40;
+    tree_config.max_depth = 4;
+    auto tree = core::BuildBellwetherTreeRainForest(
+        f->data->source.get(), f->dataset.items, tree_config);
+    if (!tree.ok()) std::abort();
+    f->tree = std::make_unique<core::BellwetherTree>(std::move(*tree));
+    f->num_items = (*subsets)->num_items();
+    return f;
+  }();
+  return *fixture;
+}
+
+// One iteration predicts every item kPredictPasses times, so the bm/ phase
+// (seconds per iteration) clears benchdiff's 5 ms floor.
+constexpr int32_t kPredictPasses = 400;
+
+void BM_CubePredictItem(benchmark::State& state) {
+  const PredictFixture& f = Predict();
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (int32_t pass = 0; pass < kPredictPasses; ++pass) {
+      for (int32_t item = 0; item < f.num_items; ++item) {
+        auto p = f.cube->PredictItem(item, *f.lookup);
+        if (p.ok()) sum += p->value;
+      }
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kPredictPasses * f.num_items);
+}
+BENCHMARK(BM_CubePredictItem);
+
+void BM_TreePredictItem(benchmark::State& state) {
+  const PredictFixture& f = Predict();
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (int32_t pass = 0; pass < kPredictPasses; ++pass) {
+      for (int32_t item = 0; item < f.num_items; ++item) {
+        auto p = f.tree->PredictItem(item, *f.lookup);
+        if (p.ok()) sum += *p;
+      }
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kPredictPasses * f.num_items);
+}
+BENCHMARK(BM_TreePredictItem);
+
+// Every (region, item) pair of the training data, present or not.
+void BM_RegionFeatureLookupFind(benchmark::State& state) {
+  const PredictFixture& f = Predict();
+  const auto& sets = *f.data->memory_sets();
+  constexpr int32_t kPasses = 20;
+  for (auto _ : state) {
+    int64_t found = 0;
+    for (int32_t pass = 0; pass < kPasses; ++pass) {
+      for (const storage::RegionTrainingSet& set : sets) {
+        for (int32_t item = 0; item < f.num_items; ++item) {
+          found += f.lookup->Find(set.region, item) != nullptr;
+        }
+      }
+    }
+    benchmark::DoNotOptimize(found);
+  }
+  state.SetItemsProcessed(state.iterations() * kPasses *
+                          static_cast<int64_t>(sets.size()) * f.num_items);
+}
+BENCHMARK(BM_RegionFeatureLookupFind);
 
 // Console reporter that also records every per-iteration run as a report
 // phase "bm/<name>" whose wall time is seconds per iteration, so the micro

@@ -76,11 +76,11 @@ int main() {
     auto p = cube->PredictItem(item, lookup, 0.95);
     if (!p.ok()) continue;
     std::printf("  item %lld: subset %s, region %s -> predicted %.0f "
-                "(actual %.0f)\n",
+                "(actual %.0f), %d better-bound candidate(s) skipped\n",
                 static_cast<long long>(data->profile.items.IdAt(item)),
                 (*subsets)->SubsetLabel(p->subset).c_str(),
                 spec.space->RegionLabel(p->region).c_str(), p->value,
-                data->profile.targets[item]);
+                data->profile.targets[item], p->candidates_skipped);
   }
   return 0;
 }

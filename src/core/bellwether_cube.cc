@@ -1,6 +1,7 @@
 #include "core/bellwether_cube.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -87,7 +88,7 @@ std::vector<int32_t> SubsetSizes(const ItemSubsetSpace& subsets,
                                  (*item_mask)[i] == 0)) {
       continue;
     }
-    subsets.ForEachContainingSubset(i, [&](SubsetId s) { ++sizes[s]; });
+    for (SubsetId s : subsets.ContainingSubsets(i)) ++sizes[s];
   }
   return sizes;
 }
@@ -339,6 +340,25 @@ Result<std::shared_ptr<ItemSubsetSpace>> ItemSubsetSpace::Create(
       pc[h] = n;
     }
   }
+  // Base slots in order of first appearance, each with its containing
+  // subsets enumerated once.
+  const olap::RegionSpace& space = *out->space_;
+  std::vector<int32_t> slot_of_base(space.NumRegions(), -1);
+  out->base_slot_.resize(out->coords_.size());
+  out->slot_begin_.push_back(0);
+  for (size_t r = 0; r < out->coords_.size(); ++r) {
+    int32_t& slot = slot_of_base[out->BaseSubsetOf(static_cast<int32_t>(r))];
+    if (slot < 0) {
+      slot = out->num_base_slots();
+      const size_t begin = out->slot_subsets_.size();
+      space.ForEachContainingRegion(out->coords_[r], [&](SubsetId s) {
+        out->slot_subsets_.push_back(s);
+      });
+      std::sort(out->slot_subsets_.begin() + begin, out->slot_subsets_.end());
+      out->slot_begin_.push_back(out->slot_subsets_.size());
+    }
+    out->base_slot_[r] = slot;
+  }
   return out;
 }
 
@@ -351,43 +371,101 @@ std::vector<int32_t> ItemSubsetSpace::SubsetDepths(SubsetId subset) const {
   return depths;
 }
 
+BellwetherCube::BellwetherCube(std::shared_ptr<const ItemSubsetSpace> subsets,
+                               std::vector<int64_t> cell_of,
+                               std::vector<CubeCell> cells)
+    : subsets_(std::move(subsets)),
+      cell_of_(std::move(cell_of)),
+      cells_(std::move(cells)) {
+  BW_CHECK(cells_.size() <=
+           static_cast<size_t>(std::numeric_limits<int32_t>::max()));
+  const int32_t num_slots = subsets_->num_base_slots();
+  candidate_begin_.reserve(static_cast<size_t>(num_slots) + 1);
+  candidate_begin_.push_back(0);
+  for (int32_t slot = 0; slot < num_slots; ++slot) {
+    for (SubsetId s : subsets_->SlotSubsets(slot)) {
+      const CubeCell* cell = FindCell(s);
+      if (cell == nullptr || !cell->has_model) continue;
+      candidates_.push_back(static_cast<int32_t>(cell_of_[s]));
+    }
+    candidate_begin_.push_back(static_cast<int32_t>(candidates_.size()));
+  }
+}
+
+namespace {
+
+// The order in which PredictItem tries candidates: ascending bound, NaN
+// bounds after all others, ties broken by ascending subset. A strict total
+// order over one item's candidates, whose subsets are distinct.
+bool CandidateBefore(double a_bound, SubsetId a_subset, double b_bound,
+                     SubsetId b_subset) {
+  const bool a_nan = std::isnan(a_bound);
+  const bool b_nan = std::isnan(b_bound);
+  if (a_nan != b_nan) return b_nan;
+  if (!a_nan && a_bound != b_bound) return a_bound < b_bound;
+  return a_subset < b_subset;
+}
+
+}  // namespace
+
 Result<CubePrediction> BellwetherCube::PredictItem(
     int32_t item, const RegionFeatureLookup& lookup,
     double confidence) const {
-  // Candidate cells: significant subsets containing the item, ordered by
-  // their models' upper confidence bound of error.
-  struct Candidate {
-    double bound;
-    SubsetId subset;
-    const CubeCell* cell;
-  };
-  std::vector<Candidate> candidates;
-  subsets_->ForEachContainingSubset(item, [&](SubsetId s) {
-    const CubeCell* cell = FindCell(s);
-    if (cell == nullptr || !cell->has_model) return;
-    const double bound = cell->has_cv
-                             ? cell->cv.UpperConfidenceBound(confidence)
-                             : cell->error;
-    candidates.push_back({bound, s, cell});
-  });
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.bound != b.bound) return a.bound < b.bound;
-              return a.subset < b.subset;
-            });
-  for (const Candidate& c : candidates) {
-    size_t num_features = 0;
-    const double* x = lookup.Find(c.cell->region, item, &num_features);
-    if (x == nullptr) continue;  // no data for the item in that region
-    if (c.cell->model.num_features() != num_features) [[unlikely]] {
-      return ModelArityMismatch(c.cell->model.num_features(), num_features);
+  const int32_t slot = subsets_->BaseSlotOf(item);
+  const int32_t* const first = candidates_.data() + candidate_begin_[slot];
+  const int32_t* const last = candidates_.data() + candidate_begin_[slot + 1];
+  // The quantile is computed on first need: only cells with a CV spread
+  // use it, so a confidence outside (0, 1) fails only where it matters.
+  double z = 0.0;
+  bool have_z = false;
+  const auto bound_of = [&](const CubeCell& cell) {
+    if (!cell.has_cv) return cell.error;
+    if (!cell.cv.HasSpread()) return cell.cv.rmse;
+    if (!have_z) {
+      z = regression::NormalQuantileTwoSided(confidence);
+      have_z = true;
     }
-    CubePrediction out;
-    out.value = c.cell->model.Predict(x);
-    out.subset = c.subset;
-    out.region = c.cell->region;
-    out.upper_confidence_bound = c.bound;
-    return out;
+    return cell.cv.UpperBoundAt(z);
+  };
+  // Selection over the short list: each round takes the least candidate
+  // ordered after the one tried before it.
+  const CubeCell* tried = nullptr;
+  double tried_bound = 0.0;
+  int32_t skipped = 0;
+  for (;;) {
+    const CubeCell* best = nullptr;
+    double best_bound = 0.0;
+    for (const int32_t* c = first; c != last; ++c) {
+      const CubeCell& cell = cells_[*c];
+      const double bound = bound_of(cell);
+      if (tried != nullptr &&
+          !CandidateBefore(tried_bound, tried->subset, bound, cell.subset)) {
+        continue;
+      }
+      if (best == nullptr ||
+          CandidateBefore(bound, cell.subset, best_bound, best->subset)) {
+        best = &cell;
+        best_bound = bound;
+      }
+    }
+    if (best == nullptr) break;
+    size_t num_features = 0;
+    const double* x = lookup.Find(best->region, item, &num_features);
+    if (x != nullptr) {
+      if (best->model.num_features() != num_features) [[unlikely]] {
+        return ModelArityMismatch(best->model.num_features(), num_features);
+      }
+      CubePrediction out;
+      out.value = best->model.Predict(x);
+      out.subset = best->subset;
+      out.region = best->region;
+      out.upper_confidence_bound = best_bound;
+      out.candidates_skipped = skipped;
+      return out;
+    }
+    ++skipped;  // no data for the item in that region
+    tried = best;
+    tried_bound = best_bound;
   }
   return Status::NotFound(
       "no candidate bellwether region has data for the item");

@@ -2,8 +2,8 @@
 #define BELLWETHER_CORE_BELLWETHER_CUBE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,7 +32,9 @@ struct ItemHierarchy {
 };
 
 /// The lattice of cube subsets induced by the item hierarchies, with the
-/// leaf coordinates of every item.
+/// leaf coordinates of every item. The subsets containing an item depend
+/// only on its base subset, so they are enumerated once per distinct base
+/// subset (a "base slot") at Create.
 class ItemSubsetSpace {
  public:
   /// Items are the rows of `item_table` (dense index = row). Every value of
@@ -55,11 +57,23 @@ class ItemSubsetSpace {
     return space_->RegionContainsPoint(subset, coords_[item]);
   }
 
-  /// Invokes fn for every cube subset containing the item (the cross
-  /// product of per-hierarchy ancestor chains).
-  void ForEachContainingSubset(int32_t item,
-                               const std::function<void(SubsetId)>& fn) const {
-    space_->ForEachContainingRegion(coords_[item], fn);
+  /// Dense index of the item's base subset among the items' distinct base
+  /// subsets, in order of first appearance.
+  int32_t BaseSlotOf(int32_t item) const { return base_slot_[item]; }
+  int32_t num_base_slots() const {
+    return static_cast<int32_t>(slot_begin_.size()) - 1;
+  }
+
+  /// Every cube subset containing the items of a base slot (the cross
+  /// product of per-hierarchy ancestor chains), in ascending SubsetId.
+  std::span<const SubsetId> SlotSubsets(int32_t slot) const {
+    return {slot_subsets_.data() + slot_begin_[slot],
+            slot_subsets_.data() + slot_begin_[slot + 1]};
+  }
+
+  /// Every cube subset containing the item, in ascending SubsetId.
+  std::span<const SubsetId> ContainingSubsets(int32_t item) const {
+    return SlotSubsets(base_slot_[item]);
   }
 
   /// The base subset of an item (its leaf combination).
@@ -79,6 +93,9 @@ class ItemSubsetSpace {
   std::vector<ItemHierarchy> hierarchies_;
   std::unique_ptr<olap::RegionSpace> space_;
   std::vector<olap::PointCoords> coords_;
+  std::vector<int32_t> base_slot_;     // item -> base slot
+  std::vector<size_t> slot_begin_;     // base slot -> offset, plus the end
+  std::vector<SubsetId> slot_subsets_;  // concatenated, ascending per slot
 };
 
 /// One cell of a bellwether cube: a significant cube subset with its
@@ -134,6 +151,9 @@ struct CubePrediction {
   SubsetId subset = olap::kInvalidRegion;
   olap::RegionId region = olap::kInvalidRegion;
   double upper_confidence_bound = 0.0;
+  /// Candidates with a lower bound that were passed over because their
+  /// bellwether region has no row for the item (the fallback depth).
+  int32_t candidates_skipped = 0;
 };
 
 /// A row of the rollup/drilldown cross-tabulation (§6.2).
@@ -163,15 +183,14 @@ struct CubeBuildTelemetry {
 /// The bellwether cube: {<S, r_S>} for every significant cube subset S.
 class BellwetherCube {
  public:
+  /// `cell_of` maps each SubsetId to its index in `cells`, or -1. Compiles
+  /// the prediction path: per base slot, the model-bearing cells of the
+  /// subsets containing it.
   BellwetherCube(std::shared_ptr<const ItemSubsetSpace> subsets,
-                 std::vector<int64_t> cell_of, std::vector<CubeCell> cells)
-      : subsets_(std::move(subsets)),
-        cell_of_(std::move(cell_of)),
-        cells_(std::move(cells)) {}
+                 std::vector<int64_t> cell_of, std::vector<CubeCell> cells);
 
   const ItemSubsetSpace& subsets() const { return *subsets_; }
   const std::vector<CubeCell>& cells() const { return cells_; }
-  std::vector<CubeCell>& mutable_cells() { return cells_; }
 
   /// Cell of a subset, or nullptr when the subset is not significant.
   const CubeCell* FindCell(SubsetId subset) const {
@@ -185,9 +204,10 @@ class BellwetherCube {
   /// Predicts the target of an item: among the cells of the cube subsets
   /// containing the item, pick the model with the lowest upper `confidence`
   /// bound of error (§6.2), fetch the item's features from its bellwether
-  /// region, apply the model. Cells whose region lacks data for the item are
-  /// skipped in bound order. kFailedPrecondition when the chosen cell's
-  /// model length is not the region's feature arity.
+  /// region, apply the model. Candidates are tried in ascending (bound,
+  /// subset) order, NaN bounds last; cells whose region lacks data for the
+  /// item are skipped. kFailedPrecondition when the chosen cell's model
+  /// length is not the region's feature arity.
   Result<CubePrediction> PredictItem(int32_t item,
                                      const RegionFeatureLookup& lookup,
                                      double confidence = 0.95) const;
@@ -211,6 +231,11 @@ class BellwetherCube {
   std::shared_ptr<const ItemSubsetSpace> subsets_;
   std::vector<int64_t> cell_of_;  // SubsetId -> index into cells_, or -1
   std::vector<CubeCell> cells_;
+  // Per base slot, the indices into cells_ of the model-bearing cells of
+  // its containing subsets, ascending by subset: slot s owns
+  // candidates_[candidate_begin_[s], candidate_begin_[s + 1]).
+  std::vector<int32_t> candidate_begin_;
+  std::vector<int32_t> candidates_;
   CubeBuildTelemetry telemetry_;
   obs::RunReport build_report_;
 };

@@ -103,17 +103,17 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::Init(
   for (size_t k = 0; k < state->significant_.size(); ++k) {
     state->sig_index_[state->significant_[k]] = static_cast<int64_t>(k);
   }
-  // Per item: the significant subsets containing it, ascending.
+  // Per item: the significant subsets containing it, ascending (the
+  // containing subsets are, and significant_ is).
   state->containing_.resize(space.num_items());
   for (int32_t i = 0; i < space.num_items(); ++i) {
     if (internal::ItemMasked(mask, i)) continue;
-    space.ForEachContainingSubset(i, [&](SubsetId s) {
+    for (SubsetId s : space.ContainingSubsets(i)) {
       if (state->sig_index_[s] >= 0) {
         state->containing_[i].push_back(
             static_cast<int32_t>(state->sig_index_[s]));
       }
-    });
-    std::sort(state->containing_[i].begin(), state->containing_[i].end());
+    }
   }
   state->dirty_.Resize(space.NumSubsets());
   state->cell_cache_.resize(state->significant_.size());

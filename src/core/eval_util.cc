@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <string>
-#include <utility>
+
+#include "common/check.h"
 
 namespace bellwether::core {
 
@@ -45,46 +46,49 @@ Status ModelArityMismatch(size_t model_features, size_t row_features) {
       std::to_string(row_features));
 }
 
-int64_t FindItemRow(const storage::RegionTrainingSet& set, int32_t item) {
-  auto it = std::lower_bound(set.items.begin(), set.items.end(), item);
-  if (it == set.items.end() || *it != item) return -1;
-  return it - set.items.begin();
-}
-
 RegionFeatureLookup::RegionFeatureLookup(
     const std::vector<storage::RegionTrainingSet>* sets)
-    : sets_(sets) {
-  region_index_.reserve(sets->size());
+    : sets_(sets), set_rows_(sets->size()) {
+  constexpr size_t kMaxIndex = std::numeric_limits<int32_t>::max();
+  BW_CHECK(sets->size() <= kMaxIndex);
+  int64_t max_region = -1;
+  for (const auto& set : *sets) max_region = std::max(max_region, set.region);
+  set_of_region_.assign(static_cast<size_t>(max_region + 1), -1);
+  // The first set of each region and its item range, so the row table is
+  // allocated once at its final size.
+  size_t num_rows = 0;
   for (size_t i = 0; i < sets->size(); ++i) {
-    region_index_.emplace_back((*sets)[i].region, i);
+    const storage::RegionTrainingSet& set = (*sets)[i];
+    if (set.region < 0 || set_of_region_[set.region] >= 0) continue;
+    set_of_region_[set.region] = static_cast<int32_t>(i);
+    if (set.items.empty()) continue;
+    BW_CHECK(set.num_examples() <= kMaxIndex);
+    const auto [lo, hi] =
+        std::minmax_element(set.items.begin(), set.items.end());
+    SetRows& rows = set_rows_[i];
+    rows.first_item = *lo;
+    rows.span = static_cast<uint32_t>(int64_t{*hi} - *lo + 1);
+    rows.offset = num_rows;
+    num_rows += rows.span;
   }
-  std::sort(region_index_.begin(), region_index_.end());
-}
-
-const double* RegionFeatureLookup::Find(int64_t region, int32_t item,
-                                        size_t* num_features) const {
-  auto it = std::lower_bound(region_index_.begin(), region_index_.end(),
-                             std::make_pair(region, size_t{0}));
-  if (it == region_index_.end() || it->first != region) return nullptr;
-  const auto& set = (*sets_)[it->second];
-  const int64_t row = FindItemRow(set, item);
-  if (row < 0) return nullptr;
-  if (num_features != nullptr) {
-    *num_features = static_cast<size_t>(set.num_features);
+  row_of_.assign(num_rows, -1);
+  for (size_t i = 0; i < sets->size(); ++i) {
+    const SetRows& rows = set_rows_[i];
+    if (rows.span == 0) continue;
+    const std::vector<int32_t>& items = (*sets)[i].items;
+    for (size_t r = items.size(); r-- > 0;) {
+      row_of_[rows.offset +
+              static_cast<size_t>(int64_t{items[r]} - rows.first_item)] =
+          static_cast<int32_t>(r);  // backwards, so the first row wins
+    }
   }
-  return set.row(static_cast<size_t>(row));
 }
 
 double RegionFeatureLookup::TargetOf(int64_t region, int32_t item) const {
-  auto it = std::lower_bound(region_index_.begin(), region_index_.end(),
-                             std::make_pair(region, size_t{0}));
-  if (it == region_index_.end() || it->first != region) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  const auto& set = (*sets_)[it->second];
-  const int64_t row = FindItemRow(set, item);
+  const storage::RegionTrainingSet* set = nullptr;
+  const int32_t row = RowOf(region, item, &set);
   if (row < 0) return std::numeric_limits<double>::quiet_NaN();
-  return set.targets[static_cast<size_t>(row)];
+  return set->targets[static_cast<size_t>(row)];
 }
 
 uint64_t RegionSeed(uint64_t base_seed, int64_t region) {

@@ -25,9 +25,6 @@ double TrainingErrorOfStats(const regression::RegressionSuffStats& stats,
 regression::Dataset ToDataset(const storage::RegionTrainingSet& set,
                               const std::vector<uint8_t>* item_mask = nullptr);
 
-/// Row index of `item` within `set.items` (which is ascending), or -1.
-int64_t FindItemRow(const storage::RegionTrainingSet& set, int32_t item);
-
 /// Deterministic per-region RNG seed so error estimates do not depend on the
 /// order in which regions are evaluated.
 uint64_t RegionSeed(uint64_t base_seed, int64_t region);
@@ -42,7 +39,12 @@ uint64_t RegionSeed(uint64_t base_seed, int64_t region);
 /// Random access to the regional feature vector phi_{i,r} of an item, over
 /// materialized region training sets. Used at prediction time: after a
 /// bellwether region is chosen for a new item, its regional features are
-/// fetched from that region's data.
+/// fetched from that region's data. Two dense tables make a lookup two
+/// loads: region -> set, and per set (item - its first item) -> row. Each
+/// set's items must be ascending. When several sets share a region the
+/// first one is used, and within a set an item's first row; sets with a
+/// negative region are not indexed. Costs 4 bytes per region id up to the
+/// largest, plus 4 per (region, item in its set's item range).
 class RegionFeatureLookup {
  public:
   /// `sets` must outlive the lookup.
@@ -53,14 +55,46 @@ class RegionFeatureLookup {
   /// there (or the region is not materialized). When `num_features` is
   /// non-null, a found row's length (its set's arity) is stored there.
   const double* Find(int64_t region, int32_t item,
-                     size_t* num_features = nullptr) const;
+                     size_t* num_features = nullptr) const {
+    const storage::RegionTrainingSet* set = nullptr;
+    const int32_t row = RowOf(region, item, &set);
+    if (row < 0) return nullptr;
+    if (num_features != nullptr) {
+      *num_features = static_cast<size_t>(set->num_features);
+    }
+    return set->row(static_cast<size_t>(row));
+  }
 
   /// Target of `item` in `region`'s set, or NaN.
   double TargetOf(int64_t region, int32_t item) const;
 
  private:
+  struct SetRows {
+    int32_t first_item = 0;
+    uint32_t span = 0;  // last item - first item + 1; 0 when not indexed
+    size_t offset = 0;  // into row_of_
+  };
+
+  // Row of `item` in `region`'s set, which is stored in *set, or -1.
+  int32_t RowOf(int64_t region, int32_t item,
+                const storage::RegionTrainingSet** set) const {
+    if (region < 0 || static_cast<uint64_t>(region) >= set_of_region_.size()) {
+      return -1;
+    }
+    const int32_t s = set_of_region_[static_cast<size_t>(region)];
+    if (s < 0) return -1;
+    const SetRows& rows = set_rows_[static_cast<size_t>(s)];
+    const uint64_t k = static_cast<uint64_t>(static_cast<int64_t>(item) -
+                                             rows.first_item);
+    if (k >= rows.span) return -1;
+    *set = &(*sets_)[static_cast<size_t>(s)];
+    return row_of_[rows.offset + k];
+  }
+
   const std::vector<storage::RegionTrainingSet>* sets_;
-  std::vector<std::pair<int64_t, size_t>> region_index_;  // sorted by region
+  std::vector<int32_t> set_of_region_;  // region -> index into *sets_, or -1
+  std::vector<SetRows> set_rows_;       // per set
+  std::vector<int32_t> row_of_;         // (set, item) -> row, or -1
 };
 
 }  // namespace bellwether::core

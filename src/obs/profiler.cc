@@ -63,9 +63,13 @@ LabelTable& Labels() {
 
 constexpr uint32_t kMaxStackDepthHard = 64;
 
+// Kept trivial, so `new RawSample[capacity]` leaves the buffer's pages
+// untouched until the handler writes them. Value-initializing 64Ki samples
+// (34 MB) costs a registering thread ~20 ms of CPU, during which it has no
+// record and every sample it takes is dropped as unregistered.
 struct RawSample {
-  uint32_t depth = 0;
-  uint32_t label = 0;
+  uint32_t depth;
+  uint32_t label;
   uintptr_t pcs[kMaxStackDepthHard];
 };
 

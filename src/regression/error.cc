@@ -8,13 +8,12 @@
 namespace bellwether::regression {
 
 double ErrorStats::UpperConfidenceBound(double confidence) const {
-  if (num_folds <= 1 || stddev == 0.0) return rmse;
-  const double z = NormalQuantileTwoSided(confidence);
-  return rmse + z * stddev / std::sqrt(static_cast<double>(num_folds));
+  if (!HasSpread()) return rmse;
+  return UpperBoundAt(NormalQuantileTwoSided(confidence));
 }
 
 double ErrorStats::LowerConfidenceBound(double confidence) const {
-  if (num_folds <= 1 || stddev == 0.0) return rmse;
+  if (!HasSpread()) return rmse;
   const double z = NormalQuantileTwoSided(confidence);
   return std::max(0.0, rmse - z * stddev / std::sqrt(
                                               static_cast<double>(num_folds)));

@@ -1,6 +1,7 @@
 #ifndef BELLWETHER_REGRESSION_ERROR_H_
 #define BELLWETHER_REGRESSION_ERROR_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -28,6 +29,15 @@ struct ErrorStats {
   /// Upper bound of the two-sided `confidence` interval of the error, under
   /// the paper's normality assumption over fold errors: rmse + z * sd/sqrt(k).
   double UpperConfidenceBound(double confidence) const;
+  /// False when the interval collapses to rmse (k <= 1 or sd == 0), so no
+  /// quantile is needed.
+  bool HasSpread() const { return num_folds > 1 && stddev != 0.0; }
+  /// rmse + z * sd/sqrt(k) for a precomputed two-sided quantile z: with
+  /// HasSpread(), UpperConfidenceBound(c) is exactly
+  /// UpperBoundAt(NormalQuantileTwoSided(c)).
+  double UpperBoundAt(double z) const {
+    return rmse + z * stddev / std::sqrt(static_cast<double>(num_folds));
+  }
   /// Lower bound of the same interval (clamped at 0).
   double LowerConfidenceBound(double confidence) const;
 };

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/bellwether_cube.h"
@@ -43,19 +44,19 @@ TEST(ItemSubsetSpaceTest, LatticeShape) {
   // Three 1-level binary hierarchies: (1 root + 2 leaves)^3 = 27 subsets.
   EXPECT_EQ(subsets->NumSubsets(), 27);
   EXPECT_EQ(subsets->num_items(), 240);
-  // Every item is contained in exactly 2^3 = 8 subsets.
-  int32_t count = 0;
-  subsets->ForEachContainingSubset(0, [&](SubsetId) { ++count; });
-  EXPECT_EQ(count, 8);
+  // Every item is contained in exactly 2^3 = 8 subsets, listed ascending.
+  const auto containing = subsets->ContainingSubsets(0);
+  EXPECT_EQ(containing.size(), 8u);
+  EXPECT_TRUE(std::is_sorted(containing.begin(), containing.end()));
 }
 
 TEST(ItemSubsetSpaceTest, ContainmentMatchesCoordinates) {
   datagen::SimulationDataset sim = MakeSim(2);
   auto subsets = MakeSubsets(sim);
   for (int32_t i = 0; i < 20; ++i) {
-    subsets->ForEachContainingSubset(i, [&](SubsetId s) {
+    for (SubsetId s : subsets->ContainingSubsets(i)) {
       EXPECT_TRUE(subsets->SubsetContainsItem(s, i));
-    });
+    }
     // The root subset [Any, Any, Any] contains everything.
     EXPECT_TRUE(subsets->SubsetContainsItem(
         subsets->space().Encode({0, 0, 0}), i));

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/eval_util.h"
 #include "core/multi_instance.h"
 #include "core/training_data_gen.h"
 #include "datagen/mail_order.h"
@@ -58,17 +59,18 @@ TEST_F(MultiInstanceTest, InstancesSumToAggregatedFeatures) {
   ASSERT_TRUE(bags.ok());
   auto flat = GenerateRegionTrainingSetNaive(*spec_, region);
   ASSERT_TRUE(flat.ok());
+  const std::vector<storage::RegionTrainingSet> flat_sets{*flat};
+  const RegionFeatureLookup lookup(&flat_sets);
   // Feature layout: [intercept, RDExpense, RegionalProfit, ...]; profit is
   // index 2 in both representations.
   for (const auto& bag : bags->bags) {
-    const int64_t row = FindItemRow(*flat, bag.item);
-    if (row < 0) continue;
+    const double* x = lookup.Find(flat->region, bag.item);
+    if (x == nullptr) continue;
     double instance_sum = 0.0;
     for (size_t k = 0; k < bag.num_instances(); ++k) {
       instance_sum += bag.instance(k)[2];
     }
-    EXPECT_NEAR(instance_sum, flat->row(row)[2],
-                1e-9 * (1.0 + std::fabs(instance_sum)));
+    EXPECT_NEAR(instance_sum, x[2], 1e-9 * (1.0 + std::fabs(instance_sum)));
   }
 }
 

@@ -39,13 +39,14 @@ TEST(EvalUtilTest, ToDatasetAppliesItemMask) {
   EXPECT_EQ(ToDataset(set, &short_mask).num_examples(), 1u);  // only item 1
 }
 
-TEST(EvalUtilTest, FindItemRowBinarySearch) {
-  const auto set = MakeSet(0);
-  EXPECT_EQ(FindItemRow(set, 1), 0);
-  EXPECT_EQ(FindItemRow(set, 3), 1);
-  EXPECT_EQ(FindItemRow(set, 7), 2);
-  EXPECT_EQ(FindItemRow(set, 2), -1);
-  EXPECT_EQ(FindItemRow(set, 99), -1);
+TEST(EvalUtilTest, RegionFeatureLookupFindsEachItemsRow) {
+  const std::vector<storage::RegionTrainingSet> sets{MakeSet(0)};
+  const RegionFeatureLookup lookup(&sets);
+  EXPECT_EQ(lookup.Find(0, 1), sets[0].row(0));
+  EXPECT_EQ(lookup.Find(0, 3), sets[0].row(1));
+  EXPECT_EQ(lookup.Find(0, 7), sets[0].row(2));
+  EXPECT_EQ(lookup.Find(0, 2), nullptr);
+  EXPECT_EQ(lookup.Find(0, 99), nullptr);
 }
 
 TEST(EvalUtilTest, RegionSeedIsDeterministicAndSpread) {

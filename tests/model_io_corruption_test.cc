@@ -190,12 +190,14 @@ TEST(ModelIoCorruptionTest, LinearModelWithInfAndNanRoundTrips) {
   ASSERT_TRUE(cube.ok());
   ASSERT_FALSE(cube->cells().empty());
   // Every model the same length: the loader rejects mixed lengths.
-  for (CubeCell& cell : cube->mutable_cells()) {
+  std::vector<CubeCell> cells = cube->cells();
+  for (CubeCell& cell : cells) {
     if (cell.has_model) cell.model = regression::LinearModel(beta);
   }
-  ASSERT_TRUE(cube->cells()[0].has_model);
+  const BellwetherCube edited = CubeWithCells(subsets, std::move(cells));
+  ASSERT_TRUE(edited.cells()[0].has_model);
   const std::string cube_path = TestTempPath("inf.bwc");
-  ASSERT_TRUE(SaveBellwetherCube(*cube, cube_path).ok());
+  ASSERT_TRUE(SaveBellwetherCube(edited, cube_path).ok());
   auto back = LoadBellwetherCube(cube_path, subsets);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   expect_beta(back->cells()[0].model);
@@ -281,12 +283,14 @@ TEST(ModelIoCorruptionTest, CubeModelLengthsAreCheckedAtLoadAndPredict) {
   const RegionFeatureLookup lookup(&sim.sets);
   const std::string path = TestTempPath("arity.bwc");
 
-  BellwetherCube long_models = *cube;
-  for (CubeCell& cell : long_models.mutable_cells()) {
+  std::vector<CubeCell> long_cells = cube->cells();
+  for (CubeCell& cell : long_cells) {
     if (cell.has_model) {
       cell.model = regression::LinearModel(SixtyFourEntries(cell.model));
     }
   }
+  const BellwetherCube long_models =
+      CubeWithCells(subsets, std::move(long_cells));
   ASSERT_TRUE(SaveBellwetherCube(long_models, path).ok());
   auto loaded = LoadBellwetherCube(path, subsets);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -307,13 +311,15 @@ TEST(ModelIoCorruptionTest, CubeModelLengthsAreCheckedAtLoadAndPredict) {
   EXPECT_GT(predicted, 0);
 
   // One cell's model longer than the others'.
-  BellwetherCube one_long = *cube;
+  std::vector<CubeCell> one_long_cells = cube->cells();
   CubeCell* last = nullptr;
-  for (CubeCell& cell : one_long.mutable_cells()) {
+  for (CubeCell& cell : one_long_cells) {
     if (cell.has_model) last = &cell;
   }
   ASSERT_NE(last, nullptr);
   last->model = regression::LinearModel(SixtyFourEntries(last->model));
+  const BellwetherCube one_long =
+      CubeWithCells(subsets, std::move(one_long_cells));
   ASSERT_TRUE(SaveBellwetherCube(one_long, path).ok());
   loaded = LoadBellwetherCube(path, subsets);
   ASSERT_FALSE(loaded.ok());
@@ -387,13 +393,14 @@ TEST(ModelIoCorruptionTest, DegradedCubeCellRoundTrips) {
   ASSERT_FALSE(cube->cells().empty());
   // Simulate a degraded, fallback-picked cell (error = +inf) as produced by
   // the graceful-degradation chain, and check the loader preserves it.
-  CubeCell& cell = cube->mutable_cells()[0];
-  cell.error = kInf;
-  cell.degradation = regression::FitDegradation::kMeanFallback;
-  cell.fallback_pick = true;
+  std::vector<CubeCell> cells = cube->cells();
+  cells[0].error = kInf;
+  cells[0].degradation = regression::FitDegradation::kMeanFallback;
+  cells[0].fallback_pick = true;
+  const BellwetherCube degraded = CubeWithCells(*subsets, std::move(cells));
 
   const std::string path = TestTempPath("degraded.bwc");
-  ASSERT_TRUE(SaveBellwetherCube(*cube, path).ok());
+  ASSERT_TRUE(SaveBellwetherCube(degraded, path).ok());
   auto back = LoadBellwetherCube(path, *subsets);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->cells()[0].error, kInf);

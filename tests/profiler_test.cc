@@ -298,10 +298,23 @@ datagen::SimulationDataset MakeSim(uint64_t seed) {
   return datagen::GenerateSimulation(config);
 }
 
+int64_t ProcessCpuMicros() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
+}
+
 TEST(ProfilerDeterminismTest, BuildersBitIdenticalAcrossThreadsWhileArmed) {
   Profiler& profiler = Profiler::Default();
   ProfilerOptions options;
   options.period_us = 500;  // oversample to stress the handler
+  // ITIMER_PROF expiry is checked only at scheduler ticks, so the sampling
+  // resolution is the coarser of period_us and the tick. One pass of the
+  // builds below takes ~15 ms of CPU, a few ticks, and can go unsampled.
+  // Repeat the passes until the armed window has spent 20 ticks of CPU at
+  // HZ = 100, the coarsest common tick.
+  constexpr int64_t kArmedCpuMicros = 20 * 10000;
+  const int64_t armed_from = ProcessCpuMicros();
   ASSERT_TRUE(profiler.Start(options).ok());
   HeapTracker::Enable();
 
@@ -312,59 +325,65 @@ TEST(ProfilerDeterminismTest, BuildersBitIdenticalAcrossThreadsWhileArmed) {
 
   std::string serial_search, serial_tree, serial_cube;
   std::string serial_search_fp, serial_tree_fp, serial_cube_fp;
-  for (int32_t threads : {1, 4}) {
-    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+  int32_t passes = 0;
+  do {
+    SCOPED_TRACE("pass " + std::to_string(passes));
+    for (int32_t threads : {1, 4}) {
+      SCOPED_TRACE("num_threads=" + std::to_string(threads));
 
-    core::BasicSearchOptions search_opts;
-    search_opts.exec.num_threads = threads;
-    storage::MemoryTrainingData search_src(sim.sets);
-    auto search = core::RunBasicBellwetherSearch(&search_src, search_opts);
-    ASSERT_TRUE(search.ok()) << search.status().ToString();
+      core::BasicSearchOptions search_opts;
+      search_opts.exec.num_threads = threads;
+      storage::MemoryTrainingData search_src(sim.sets);
+      auto search = core::RunBasicBellwetherSearch(&search_src, search_opts);
+      ASSERT_TRUE(search.ok()) << search.status().ToString();
 
-    core::TreeBuildConfig tree_cfg;
-    tree_cfg.split_columns = sim.feature_columns;
-    tree_cfg.min_items = 25;
-    tree_cfg.max_depth = 3;
-    tree_cfg.min_examples_per_model = 8;
-    tree_cfg.exec.num_threads = threads;
-    storage::MemoryTrainingData tree_src(sim.sets);
-    auto tree =
-        core::BuildBellwetherTreeRainForest(&tree_src, sim.items, tree_cfg);
-    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+      core::TreeBuildConfig tree_cfg;
+      tree_cfg.split_columns = sim.feature_columns;
+      tree_cfg.min_items = 25;
+      tree_cfg.max_depth = 3;
+      tree_cfg.min_examples_per_model = 8;
+      tree_cfg.exec.num_threads = threads;
+      storage::MemoryTrainingData tree_src(sim.sets);
+      auto tree =
+          core::BuildBellwetherTreeRainForest(&tree_src, sim.items, tree_cfg);
+      ASSERT_TRUE(tree.ok()) << tree.status().ToString();
 
-    core::CubeBuildConfig cube_cfg;
-    cube_cfg.min_subset_size = 20;
-    cube_cfg.min_examples_per_model = 8;
-    cube_cfg.exec.num_threads = threads;
-    storage::MemoryTrainingData cube_src(sim.sets);
-    auto cube =
-        core::BuildBellwetherCubeSingleScan(&cube_src, *subsets, cube_cfg);
-    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+      core::CubeBuildConfig cube_cfg;
+      cube_cfg.min_subset_size = 20;
+      cube_cfg.min_examples_per_model = 8;
+      cube_cfg.exec.num_threads = threads;
+      storage::MemoryTrainingData cube_src(sim.sets);
+      auto cube =
+          core::BuildBellwetherCubeSingleScan(&cube_src, *subsets, cube_cfg);
+      ASSERT_TRUE(cube.ok()) << cube.status().ToString();
 
-    if (threads == 1) {
-      serial_search = search->report.LogicalJson();
-      serial_tree = tree->build_report().LogicalJson();
-      serial_cube = cube->build_report().LogicalJson();
-      serial_search_fp = search->report.ConfigFingerprint();
-      serial_tree_fp = tree->build_report().ConfigFingerprint();
-      serial_cube_fp = cube->build_report().ConfigFingerprint();
-      EXPECT_FALSE(serial_search.empty());
-    } else {
-      EXPECT_EQ(search->report.LogicalJson(), serial_search);
-      EXPECT_EQ(tree->build_report().LogicalJson(), serial_tree);
-      EXPECT_EQ(cube->build_report().LogicalJson(), serial_cube);
-      EXPECT_EQ(search->report.ConfigFingerprint(), serial_search_fp);
-      EXPECT_EQ(tree->build_report().ConfigFingerprint(), serial_tree_fp);
-      EXPECT_EQ(cube->build_report().ConfigFingerprint(), serial_cube_fp);
+      if (threads == 1) {
+        serial_search = search->report.LogicalJson();
+        serial_tree = tree->build_report().LogicalJson();
+        serial_cube = cube->build_report().LogicalJson();
+        serial_search_fp = search->report.ConfigFingerprint();
+        serial_tree_fp = tree->build_report().ConfigFingerprint();
+        serial_cube_fp = cube->build_report().ConfigFingerprint();
+        EXPECT_FALSE(serial_search.empty());
+      } else {
+        EXPECT_EQ(search->report.LogicalJson(), serial_search);
+        EXPECT_EQ(tree->build_report().LogicalJson(), serial_tree);
+        EXPECT_EQ(cube->build_report().LogicalJson(), serial_cube);
+        EXPECT_EQ(search->report.ConfigFingerprint(), serial_search_fp);
+        EXPECT_EQ(tree->build_report().ConfigFingerprint(), serial_tree_fp);
+        EXPECT_EQ(cube->build_report().ConfigFingerprint(), serial_cube_fp);
+      }
     }
-  }
+    ++passes;
+  } while (ProcessCpuMicros() - armed_from < kArmedCpuMicros);
 
   HeapTracker::Disable();
   auto profile = profiler.Stop();
   ASSERT_TRUE(profile.ok()) << profile.status().ToString();
   if (!TsanDefersAsyncSignals()) {
     EXPECT_GE(profile->total_samples(), 1)
-        << "the armed sampler should have observed the builds";
+        << "the armed sampler should have observed the builds (" << passes
+        << " passes, " << profile->dropped_samples() << " samples dropped)";
   }
 }
 

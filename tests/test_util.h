@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
+#include "core/bellwether_cube.h"
 #include "core/bellwether_tree.h"
 #include "robust/fault_injection.h"
 
@@ -69,6 +73,20 @@ inline void ExpectTreesEqual(const BellwetherTree& a, const BellwetherTree& b) {
       EXPECT_DOUBLE_EQ(na.goodness, nb.goodness) << "node " << i;
     }
   }
+}
+
+/// A cube over `subsets` made of `cells`. Tests edit a copy of a cube's
+/// cells() and build a new cube from it, since a cube compiles its
+/// prediction path when it is constructed.
+inline BellwetherCube CubeWithCells(
+    std::shared_ptr<const ItemSubsetSpace> subsets,
+    std::vector<CubeCell> cells) {
+  std::vector<int64_t> cell_of(subsets->NumSubsets(), -1);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    cell_of[cells[i].subset] = static_cast<int64_t>(i);
+  }
+  return BellwetherCube(std::move(subsets), std::move(cell_of),
+                        std::move(cells));
 }
 
 }  // namespace core
