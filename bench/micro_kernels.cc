@@ -3,9 +3,11 @@
 // and merging (Theorem 1's g and q), WLS solves, k-fold cross-validation,
 // CUBE rollup, region enumeration, the iceberg feasible-region search,
 // spill-file record reads, and item-centric prediction through a cube, a
-// tree and the regional feature lookup.
+// tree and the regional feature lookup; and the two layers of the warehouse
+// prepare stage, CSV ingest and §4.2 training-data generation.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +30,8 @@
 #include "regression/error.h"
 #include "regression/linear_model.h"
 #include "storage/training_data.h"
+#include "storage/training_data_sink.h"
+#include "table/csv.h"
 
 namespace {
 
@@ -321,6 +325,56 @@ void BM_SpillRead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpillRead);
+
+// The warehouse prepare stage's input: §7.1's mail-order data (400 items,
+// 142k fact rows) and its fact table written once as CSV, on first use.
+// The file is removed at exit.
+struct PrepareFixture {
+  datagen::MailOrderDataset dataset;
+  std::string csv_path;
+};
+
+const PrepareFixture& PrepareInput() {
+  static const PrepareFixture* fixture = [] {
+    auto* f = new PrepareFixture();
+    f->dataset = datagen::GenerateMailOrder(datagen::MailOrderConfig{});
+    f->csv_path = "/tmp/bw_micro_fact_" + std::to_string(getpid()) + ".csv";
+    if (!table::WriteCsv(f->dataset.fact, f->csv_path).ok()) std::abort();
+    std::atexit([] { std::remove(PrepareInput().csv_path.c_str()); });
+    return f;
+  }();
+  return *fixture;
+}
+
+// The CSV layer of the prepare stage: the whole fact file into a Table.
+void BM_ReadCsv(benchmark::State& state) {
+  const PrepareFixture& f = PrepareInput();
+  for (auto _ : state) {
+    auto fact = table::ReadCsv(f.csv_path, f.dataset.fact.schema());
+    if (!fact.ok()) std::abort();
+    benchmark::DoNotOptimize(fact->num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(f.dataset.fact.num_rows()));
+}
+BENCHMARK(BM_ReadCsv);
+
+// The §4.2 layer of the prepare stage: fact table to every feasible
+// region's training set, on one thread, into a MemorySink.
+void BM_GenerateTrainingData(benchmark::State& state) {
+  const PrepareFixture& f = PrepareInput();
+  core::BellwetherSpec spec = f.dataset.MakeSpec(85.0, 0.5);
+  spec.exec.num_threads = 1;
+  for (auto _ : state) {
+    storage::MemorySink sink;
+    auto profile = core::GenerateTrainingData(spec, &sink);
+    if (!profile.ok()) std::abort();
+    benchmark::DoNotOptimize(profile->feasible.regions.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(f.dataset.fact.num_rows()));
+}
+BENCHMARK(BM_GenerateTrainingData);
 
 // A mail-order cube and tree (§7.1's 400 items, Fig. 8's tree shape) with
 // the lookup they predict through, built once on first use.

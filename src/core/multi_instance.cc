@@ -3,17 +3,18 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <set>
 #include <unordered_map>
 
 #include "common/check.h"
 #include "core/eval_util.h"
+#include "core/training_data_gen.h"
 #include "olap/cube.h"
 
 namespace bellwether::core {
 
 namespace {
 
-using olap::FkSetAgg;
 using olap::NumericAgg;
 using table::AggFn;
 using table::Table;
@@ -21,31 +22,11 @@ using table::Table;
 // Key of one instance: (dense item index, finest cell id).
 using InstanceKey = std::pair<int32_t, int64_t>;
 
-Result<std::unordered_map<int64_t, size_t>> BuildKeyIndex(
-    const Table& ref, const std::string& key_column) {
-  auto idx = ref.schema().FindField(key_column);
-  if (!idx.has_value()) {
-    return Status::NotFound("reference key column missing: " + key_column);
-  }
-  const auto& col = ref.column(*idx);
-  std::unordered_map<int64_t, size_t> out;
-  for (size_t r = 0; r < ref.num_rows(); ++r) {
-    if (col.IsNull(r)) continue;
-    if (!out.emplace(col.Int64At(r), r).second) {
-      return Status::InvalidArgument("duplicate reference key");
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 Result<BagTrainingSet> GenerateBagTrainingSet(const BellwetherSpec& spec,
                                               olap::RegionId region) {
-  if (spec.space == nullptr || spec.fact == nullptr ||
-      spec.item_table == nullptr) {
-    return Status::InvalidArgument("incomplete spec");
-  }
+  BW_RETURN_IF_ERROR(ValidateSpec(spec));
   const olap::RegionSpace& space = *spec.space;
   const Table& fact = *spec.fact;
   const Table& item_table = *spec.item_table;
@@ -57,9 +38,7 @@ Result<BagTrainingSet> GenerateBagTrainingSet(const BellwetherSpec& spec,
   std::vector<std::vector<double>> item_feats;
   std::vector<size_t> feat_cols;
   for (const auto& c : spec.item_feature_columns) {
-    auto idx = item_table.schema().FindField(c);
-    if (!idx.has_value()) return Status::NotFound("item feature: " + c);
-    feat_cols.push_back(*idx);
+    feat_cols.push_back(item_table.schema().FieldIndexOrDie(c));
   }
   for (size_t r = 0; r < item_table.num_rows(); ++r) {
     if (item_table.column(item_id_col).IsNull(r)) continue;
@@ -78,9 +57,7 @@ Result<BagTrainingSet> GenerateBagTrainingSet(const BellwetherSpec& spec,
       fact.schema().FieldIndexOrDie(spec.item_id_column);
   std::vector<size_t> dim_cols;
   for (const auto& c : spec.dimension_columns) {
-    auto idx = fact.schema().FindField(c);
-    if (!idx.has_value()) return Status::NotFound("dimension column: " + c);
-    dim_cols.push_back(*idx);
+    dim_cols.push_back(fact.schema().FieldIndexOrDie(c));
   }
   const size_t target_col = fact.schema().FieldIndexOrDie(spec.target_column);
 
@@ -90,13 +67,8 @@ Result<BagTrainingSet> GenerateBagTrainingSet(const BellwetherSpec& spec,
   for (const auto& q : spec.regional_features) {
     if (q.kind == FeatureQuery::Kind::kFactMeasure) continue;
     if (key_indexes.count(q.reference)) continue;
-    auto it = spec.references.find(q.reference);
-    if (it == spec.references.end()) {
-      return Status::NotFound("reference: " + q.reference);
-    }
-    BW_ASSIGN_OR_RETURN(auto index,
-                        BuildKeyIndex(*it->second.table,
-                                      it->second.key_column));
+    const ReferenceTable& ref = spec.references.at(q.reference);
+    BW_ASSIGN_OR_RETURN(auto index, BuildKeyIndex(*ref.table, ref.key_column));
     key_indexes.emplace(q.reference, std::move(index));
   }
 
@@ -104,7 +76,8 @@ Result<BagTrainingSet> GenerateBagTrainingSet(const BellwetherSpec& spec,
   // finest cell and accumulate per-(item, cell) aggregates per feature.
   const size_t num_queries = spec.regional_features.size();
   std::map<InstanceKey, std::vector<NumericAgg>> numeric;
-  std::map<InstanceKey, std::vector<FkSetAgg>> fk_sets;
+  // Per instance and pi_FK query: the distinct keys, ascending.
+  std::map<InstanceKey, std::vector<std::set<int64_t>>> fk_sets;
   std::vector<NumericAgg> target_agg(items.size());
   olap::PointCoords point(space.num_dims());
   for (size_t r = 0; r < fact.num_rows(); ++r) {
@@ -158,7 +131,7 @@ Result<BagTrainingSet> GenerateBagTrainingSet(const BellwetherSpec& spec,
             fk_it = fk_sets.try_emplace(key).first;
             if (fk_it->second.empty()) fk_it->second.resize(num_queries);
           }
-          fk_it->second[qi].Add(fkc.Int64At(r));
+          fk_it->second[qi].insert(fkc.Int64At(r));
           break;
         }
       }
@@ -186,16 +159,16 @@ Result<BagTrainingSet> GenerateBagTrainingSet(const BellwetherSpec& spec,
       if (q.kind == FeatureQuery::Kind::kFkDistinctMeasure) {
         auto fs = fk_sets.find(key);
         double v = 0.0;
-        if (fs != fk_sets.end() && !fs->second[qi].keys.empty()) {
+        if (fs != fk_sets.end() && !fs->second[qi].empty()) {
           if (q.fn == AggFn::kCount || q.fn == AggFn::kCountDistinct) {
-            v = static_cast<double>(fs->second[qi].keys.size());
+            v = static_cast<double>(fs->second[qi].size());
           } else {
             NumericAgg agg;
             const auto& measure =
                 spec.references.at(q.reference).table->ColumnByName(
                     q.measure_column);
             const auto& index = key_indexes.at(q.reference);
-            for (int64_t fk : fs->second[qi].keys) {
+            for (int64_t fk : fs->second[qi]) {
               auto hit = index.find(fk);
               if (hit != index.end() && !measure.IsNull(hit->second)) {
                 agg.Add(measure.NumericAt(hit->second));

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/check.h"
 #include "exec/parallel.h"
@@ -19,7 +21,7 @@ namespace bellwether::core {
 
 namespace {
 
-using olap::FkSetAgg;
+using olap::KeySetCube;
 using olap::NumericAgg;
 using olap::RegionId;
 using olap::RegionItemCube;
@@ -27,6 +29,26 @@ using storage::RegionTrainingSet;
 using table::AggFn;
 using table::DataType;
 using table::Table;
+
+// Checks that `schema` has `column` and that its type suits the column's
+// role: int64 for ids, coordinates and keys, numeric for values.
+enum class ColumnRole { kInt64, kNumeric };
+
+Status CheckColumn(const table::Schema& schema, const std::string& column,
+                   const std::string& what, ColumnRole role) {
+  const auto idx = schema.FindField(column);
+  if (!idx.has_value()) return Status::NotFound(what + " missing: " + column);
+  const DataType type = schema.field(*idx).type;
+  if (role == ColumnRole::kInt64 && type != DataType::kInt64) {
+    return Status::InvalidArgument(what + " must be int64: " + column);
+  }
+  if (role == ColumnRole::kNumeric && type == DataType::kString) {
+    return Status::InvalidArgument(what + " must be numeric: " + column);
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Status ValidateSpec(const BellwetherSpec& spec) {
   if (spec.space == nullptr) return Status::InvalidArgument("spec.space");
@@ -39,64 +61,43 @@ Status ValidateSpec(const BellwetherSpec& spec) {
     return Status::InvalidArgument(
         "dimension_columns arity must match the region space");
   }
+  const table::Schema& fact = spec.fact->schema();
   for (const auto& c : spec.dimension_columns) {
-    if (!spec.fact->schema().FindField(c).has_value()) {
-      return Status::NotFound("fact dimension column missing: " + c);
-    }
+    BW_RETURN_IF_ERROR(
+        CheckColumn(fact, c, "fact dimension column", ColumnRole::kInt64));
   }
-  if (!spec.fact->schema().FindField(spec.item_id_column).has_value()) {
-    return Status::NotFound("fact item id column missing: " +
-                            spec.item_id_column);
-  }
-  if (!spec.fact->schema().FindField(spec.target_column).has_value()) {
-    return Status::NotFound("target column missing: " + spec.target_column);
-  }
-  if (!spec.item_table->schema()
-           .FindField(spec.item_table_id_column)
-           .has_value()) {
-    return Status::NotFound("item table id column missing: " +
-                            spec.item_table_id_column);
-  }
+  BW_RETURN_IF_ERROR(CheckColumn(fact, spec.item_id_column,
+                                 "fact item id column", ColumnRole::kInt64));
+  BW_RETURN_IF_ERROR(CheckColumn(fact, spec.target_column, "target column",
+                                 ColumnRole::kNumeric));
+  const table::Schema& items = spec.item_table->schema();
+  BW_RETURN_IF_ERROR(CheckColumn(items, spec.item_table_id_column,
+                                 "item table id column", ColumnRole::kInt64));
   for (const auto& c : spec.item_feature_columns) {
-    auto idx = spec.item_table->schema().FindField(c);
-    if (!idx.has_value()) {
-      return Status::NotFound("item feature column missing: " + c);
-    }
-    if (spec.item_table->schema().field(*idx).type == DataType::kString) {
-      return Status::InvalidArgument(
-          "item feature column must be numeric: " + c);
-    }
+    BW_RETURN_IF_ERROR(
+        CheckColumn(items, c, "item feature column", ColumnRole::kNumeric));
   }
   for (const auto& q : spec.regional_features) {
     if (q.kind == FeatureQuery::Kind::kFactMeasure) {
-      if (!spec.fact->schema().FindField(q.measure_column).has_value()) {
-        return Status::NotFound("fact measure column missing: " +
-                                q.measure_column);
-      }
-    } else {
-      auto it = spec.references.find(q.reference);
-      if (it == spec.references.end()) {
-        return Status::NotFound("unknown reference table: " + q.reference);
-      }
-      if (!it->second.table->schema()
-               .FindField(q.measure_column)
-               .has_value()) {
-        return Status::NotFound("reference measure column missing: " +
-                                q.measure_column);
-      }
-      if (!spec.fact->schema().FindField(q.fk_column).has_value()) {
-        return Status::NotFound("fact FK column missing: " + q.fk_column);
-      }
+      BW_RETURN_IF_ERROR(CheckColumn(fact, q.measure_column,
+                                     "fact measure column",
+                                     ColumnRole::kNumeric));
+      continue;
     }
-    if (q.kind == FeatureQuery::Kind::kFkDistinctMeasure &&
-        q.fn == AggFn::kAvg) {
-      // AVG over a key set is fine; nothing to reject. (kept for clarity)
+    auto it = spec.references.find(q.reference);
+    if (it == spec.references.end()) {
+      return Status::NotFound("unknown reference table: " + q.reference);
     }
+    BW_RETURN_IF_ERROR(CheckColumn(it->second.table->schema(),
+                                   q.measure_column,
+                                   "reference measure column",
+                                   ColumnRole::kNumeric));
+    BW_RETURN_IF_ERROR(
+        CheckColumn(fact, q.fk_column, "fact FK column", ColumnRole::kInt64));
   }
   return Status::OK();
 }
 
-// Hash index over a reference table's primary key -> row.
 Result<std::unordered_map<int64_t, size_t>> BuildKeyIndex(
     const Table& ref, const std::string& key_column) {
   auto idx = ref.schema().FindField(key_column);
@@ -118,6 +119,8 @@ Result<std::unordered_map<int64_t, size_t>> BuildKeyIndex(
   }
   return out;
 }
+
+namespace {
 
 // Aggregates a set of reference measure values with fn.
 double AggregateValues(AggFn fn, const std::vector<double>& vals) {
@@ -196,6 +199,7 @@ class TrainingDataGenerator {
     profile_.feature_names = FeatureNames(spec_);
     BW_RETURN_IF_ERROR(BuildItemIndex());
     BW_RETURN_IF_ERROR(PrepareFeatures());
+    RankForeignKeys();
     BW_RETURN_IF_ERROR(ScanFactTable());
     RollupCubes();
     BW_RETURN_IF_ERROR(FinishTargets());
@@ -219,7 +223,13 @@ class TrainingDataGenerator {
     size_t fk_col;
     const std::unordered_map<int64_t, size_t>* ref_index;
     const table::Column* ref_measure;
-    RegionItemCube<FkSetAgg> cube;
+    // Set by RankForeignKeys. Item i's keys, ranked in ascending key order,
+    // occupy [rank_base[i], rank_base[i + 1]) of the per-rank arrays.
+    std::vector<int32_t> row_ranks;  // per fact row; -1 when no ranked key
+    std::vector<int32_t> rank_base;
+    std::vector<double> rank_values;  // reference measure per key
+    std::vector<uint8_t> rank_nulls;  // 1 = null measure
+    std::optional<KeySetCube> cube;
   };
 
   // ---- Stage: item dictionary and item-table features ----
@@ -287,16 +297,92 @@ class TrainingDataGenerator {
               {qi, 0, &key_indexes_.at(q.reference), measure, fk,
                RegionItemCube<NumericAgg>(&space_, num_items_)});
         } else {
-          fk_features_.push_back({qi, fk, &key_indexes_.at(q.reference),
-                                  measure,
-                                  RegionItemCube<FkSetAgg>(&space_,
-                                                           num_items_)});
+          fk_features_.push_back(
+              {qi, fk, &key_indexes_.at(q.reference), measure, {}, {}, {}, {},
+               std::nullopt});
         }
       }
     }
     count_cube_.emplace(&space_, num_items_);
     target_agg_.assign(num_items_, NumericAgg{});
+
+    // Dense item index of every fact row, -1 when null or outside I.
+    const Int64ColumnView item_view(fact_.column(fact_item_col_));
+    row_items_.assign(fact_.num_rows(), -1);
+    for (size_t r = 0; r < fact_.num_rows(); ++r) {
+      if (!item_view.IsNull(r)) {
+        row_items_[r] = profile_.items.Find(item_view.At(r));
+      }
+    }
     return Status::OK();
+  }
+
+  // ---- Stage: rank each item's distinct foreign keys, size the pi_FK cubes
+  // Only keys that occur in the fact table and are in the reference's key
+  // index get a rank, so a cube is bounded by the fact table, not by the
+  // reference table. The key lookup happens here, once per row.
+  void RankForeignKeys() {
+    obs::TraceSpan span("RankForeignKeys", "datagen");
+    const size_t n = fact_.num_rows();
+    // Fact rows grouped by item in row order (a counting sort): item i's
+    // rows are item_rows[item_begin[i], item_begin[i + 1]).
+    std::vector<size_t> item_begin(num_items_ + 1, 0);
+    for (int32_t item : row_items_) {
+      if (item >= 0) ++item_begin[item + 1];
+    }
+    for (int32_t i = 0; i < num_items_; ++i) item_begin[i + 1] += item_begin[i];
+    std::vector<size_t> item_rows(item_begin[num_items_]);
+    std::vector<size_t> fill(item_begin.begin(), item_begin.end() - 1);
+    for (size_t r = 0; r < n; ++r) {
+      if (row_items_[r] >= 0) item_rows[fill[row_items_[r]]++] = r;
+    }
+    constexpr size_t kNoKey = std::numeric_limits<size_t>::max();
+    for (auto& ff : fk_features_) {
+      const Int64ColumnView fk_view(fact_.column(ff.fk_col));
+      std::vector<size_t> ref_rows(n, kNoKey);  // reference row of r's key
+      for (size_t r = 0; r < n; ++r) {
+        if (row_items_[r] < 0 || fk_view.IsNull(r)) continue;
+        const auto it = ff.ref_index->find(fk_view.At(r));
+        if (it != ff.ref_index->end()) ref_rows[r] = it->second;
+      }
+      // Per reference row: the last item that referenced it, and the key's
+      // rank within that item.
+      std::vector<int32_t> seen_by(ff.ref_measure->size(), -1);
+      std::vector<int32_t> rank_of(ff.ref_measure->size(), 0);
+      std::vector<std::pair<int64_t, size_t>> keys;  // (key, reference row)
+      ff.row_ranks.assign(n, -1);
+      ff.rank_base.assign(num_items_ + 1, 0);
+      ff.rank_values.clear();
+      ff.rank_nulls.clear();
+      std::vector<int32_t> keys_per_item(num_items_, 0);
+      for (int32_t i = 0; i < num_items_; ++i) {
+        const auto first = item_rows.begin() + item_begin[i];
+        const auto last = item_rows.begin() + item_begin[i + 1];
+        keys.clear();
+        for (auto r = first; r != last; ++r) {
+          const size_t ref = ref_rows[*r];
+          if (ref != kNoKey && seen_by[ref] != i) {
+            seen_by[ref] = i;
+            keys.emplace_back(fk_view.At(*r), ref);
+          }
+        }
+        std::sort(keys.begin(), keys.end());
+        ff.rank_base[i] = static_cast<int32_t>(ff.rank_values.size());
+        for (size_t k = 0; k < keys.size(); ++k) {
+          const size_t ref = keys[k].second;
+          rank_of[ref] = static_cast<int32_t>(k);
+          const bool null = ff.ref_measure->IsNull(ref);
+          ff.rank_nulls.push_back(null ? 1 : 0);
+          ff.rank_values.push_back(null ? 0.0 : ff.ref_measure->NumericAt(ref));
+        }
+        for (auto r = first; r != last; ++r) {
+          if (ref_rows[*r] != kNoKey) ff.row_ranks[*r] = rank_of[ref_rows[*r]];
+        }
+        keys_per_item[i] = static_cast<int32_t>(keys.size());
+      }
+      ff.rank_base[num_items_] = static_cast<int32_t>(ff.rank_values.size());
+      ff.cube.emplace(&space_, keys_per_item);
+    }
   }
 
   // ---- Stage: single pass over the fact table, with row quarantine ----
@@ -312,7 +398,6 @@ class TrainingDataGenerator {
     // up front (one pass per column) instead of paying the per-row type
     // switch inside the hot loop.
     const NumericColumnView target_view(fact_.column(target_col_));
-    const Int64ColumnView item_view(fact_.column(fact_item_col_));
     std::vector<Int64ColumnView> dim_views;
     dim_views.reserve(dim_cols_.size());
     for (size_t c : dim_cols_) dim_views.emplace_back(fact_.column(c));
@@ -329,11 +414,6 @@ class TrainingDataGenerator {
       } else {
         nf_fk_views[k].emplace(fact_.column(numeric_features_[k].fk_col));
       }
-    }
-    std::vector<Int64ColumnView> ff_fk_views;
-    ff_fk_views.reserve(fk_features_.size());
-    for (const auto& ff : fk_features_) {
-      ff_fk_views.emplace_back(fact_.column(ff.fk_col));
     }
 
     olap::PointCoords point(space_.num_dims());
@@ -373,9 +453,8 @@ class TrainingDataGenerator {
         BW_LOG(obs::LogLevel::kWarn, "datagen") << "quarantined " << context;
         continue;
       }
-      if (item_view.IsNull(r)) continue;
-      const int32_t item = profile_.items.Find(item_view.At(r));
-      if (item < 0) continue;  // transaction of an item outside I
+      const int32_t item = row_items_[r];
+      if (item < 0) continue;  // no item, or an item outside I
       bool coords_ok = true;
       for (size_t d = 0; d < dim_views.size(); ++d) {
         if (dim_views[d].IsNull(r)) {
@@ -411,12 +490,8 @@ class TrainingDataGenerator {
           nf.cube.Cell(base, item).Add(nf.ref_measure->NumericAt(it->second));
         }
       }
-      for (size_t k = 0; k < fk_features_.size(); ++k) {
-        const Int64ColumnView& fkv = ff_fk_views[k];
-        if (fkv.IsNull(r)) continue;
-        const int64_t fk = fkv.At(r);
-        if (fk_features_[k].ref_index->count(fk) == 0) continue;
-        fk_features_[k].cube.Cell(base, item).Add(fk);
+      for (auto& ff : fk_features_) {
+        if (ff.row_ranks[r] >= 0) ff.cube->Insert(base, item, ff.row_ranks[r]);
       }
     }
     return Status::OK();
@@ -427,7 +502,7 @@ class TrainingDataGenerator {
     obs::TraceSpan span("CubeRollup", "datagen");
     count_cube_->Rollup();
     for (auto& nf : numeric_features_) nf.cube.Rollup();
-    for (auto& ff : fk_features_) ff.cube.Rollup();
+    for (auto& ff : fk_features_) ff.cube->Rollup();
   }
 
   // ---- Stage: per-item targets ----
@@ -516,16 +591,16 @@ class TrainingDataGenerator {
       for (size_t qi = 0; qi < spec_.regional_features.size(); ++qi) {
         const auto& q = spec_.regional_features[qi];
         if (q.kind == FeatureQuery::Kind::kFkDistinctMeasure) {
+          // The set bits in ascending rank order are the keys in ascending
+          // key order, so AggregateValues sees the values in key order.
           const auto& ff = fk_features_[ff_i++];
-          const auto& cell = ff.cube.Cell(reg, i);
+          const int32_t base = ff.rank_base[i];
           fk_vals.clear();
-          for (int64_t fk : cell.keys) {
-            auto it = ff.ref_index->find(fk);
-            BW_DCHECK(it != ff.ref_index->end());
-            if (!ff.ref_measure->IsNull(it->second)) {
-              fk_vals.push_back(ff.ref_measure->NumericAt(it->second));
+          ff.cube->ForEachRank(reg, i, [&](int32_t rank) {
+            if (!ff.rank_nulls[base + rank]) {
+              fk_vals.push_back(ff.rank_values[base + rank]);
             }
-          }
+          });
           set.features.push_back(AggregateValues(q.fn, fk_vals));
         } else {
           const auto& nf = numeric_features_[nf_i++];
@@ -589,6 +664,7 @@ class TrainingDataGenerator {
   int64_t num_valid_items_ = 0;
 
   size_t fact_item_col_ = 0;
+  std::vector<int32_t> row_items_;  // dense item per fact row, -1 if none
   std::vector<size_t> dim_cols_;
   size_t target_col_ = 0;
 

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -58,6 +60,18 @@ struct GeneratedTrainingData {
   /// disk-backed source.
   const std::vector<storage::RegionTrainingSet>* memory_sets() const;
 };
+
+/// Checks that the spec names every table it needs and that each column it
+/// names exists with a type its role allows: int64 item ids, dimension
+/// coordinates and foreign keys; numeric targets and measures. A missing
+/// column is kNotFound; a missing table or a wrong type is kInvalidArgument.
+Status ValidateSpec(const BellwetherSpec& spec);
+
+/// Hash index over a reference table's primary key: key -> row. Fails on a
+/// missing or non-int64 key column and on a duplicate key; null keys are
+/// skipped.
+Result<std::unordered_map<int64_t, size_t>> BuildKeyIndex(
+    const table::Table& ref, const std::string& key_column);
 
 /// Generates all training sets with one pass over the fact table plus one
 /// cube rollup per feature query — the single-OLAP-query evaluation strategy

@@ -2,11 +2,11 @@
 #define BELLWETHER_OLAP_CUBE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <set>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -71,27 +71,22 @@ struct NumericAgg {
   }
 };
 
-/// Accumulator for the pi_FK feature queries (paper §4.1, third form): the
-/// set of distinct foreign keys an item references within a region. Set
-/// union is distributive, so rollup stays exact even when the same key
-/// appears in several child cells.
-struct FkSetAgg {
-  std::set<int64_t> keys;
-
-  void Add(int64_t fk) { keys.insert(fk); }
-  void Merge(const FkSetAgg& o) { keys.insert(o.keys.begin(), o.keys.end()); }
-  bool empty() const { return keys.empty(); }
-};
-
 namespace detail {
 
-/// Merges a contiguous run of `n` accumulators cell-by-cell. Generic
-/// fallback for accumulators with indirection (e.g. FkSetAgg): skip empty
-/// sources, virtual-shaped Merge per cell.
-template <typename Acc>
-inline void MergeAccRun(Acc* dst, const Acc* src, size_t n) {
+/// Bitset words (KeySetCube below): set union is a word-wise OR, and OR-ing
+/// an empty (zero) word is the identity, so a run merge is one flat loop.
+inline void MergeAccRun(uint64_t* dst, const uint64_t* src, size_t n) {
+  for (size_t i = 0; i < n; ++i) dst[i] |= src[i];
+}
+
+/// Fan-in twin of the word merge: each destination word is read and
+/// written once for all k sources.
+inline void MergeAccRunFanIn(uint64_t* dst, const uint64_t* const* srcs,
+                             size_t k, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    if (!src[i].empty()) dst[i].Merge(src[i]);
+    uint64_t w = dst[i];
+    for (size_t j = 0; j < k; ++j) w |= srcs[j][i];
+    dst[i] = w;
   }
 }
 
@@ -311,12 +306,6 @@ inline void MergeAccRun(NumericAgg* dst, const NumericAgg* src, size_t n) {
 /// once per source (the hierarchy rollup's children -> parent pattern).
 /// Per-element summation order equals k successive MergeAccRun calls in
 /// srcs order.
-template <typename Acc>
-inline void MergeAccRunFanIn(Acc* dst, const Acc* const* srcs, size_t k,
-                             size_t n) {
-  for (size_t j = 0; j < k; ++j) MergeAccRun(dst, srcs[j], n);
-}
-
 inline void MergeAccRunFanIn(NumericAgg* dst, const NumericAgg* const* srcs,
                              size_t k, size_t n) {
 #if defined(BW_CUBE_X86_DISPATCH)
@@ -522,6 +511,63 @@ class RegionItemCube {
   std::vector<int32_t> cards_;
   std::vector<int64_t> strides_;
   bool rolled_up_ = false;
+};
+
+/// The pi_FK cube: the CUBE form (§4.2) of the pi_FK feature queries (§4.1,
+/// third form). Cell (r, i) is the set of distinct foreign keys item i
+/// references inside region r. The caller ranks each item's K_i keys
+/// 0..K_i-1; a cell is a bitset of ceil(K_i/64) words, bit b of word w
+/// standing for rank 64w + b. Every region keeps all items' words side by
+/// side in one row, so the cube is a RegionItemCube of words: set union is
+/// distributive and is an OR of words, and Rollup() is the numeric cubes'
+/// flat run merge. Memory is NumRegions * sum_i ceil(K_i/64) * 8 bytes.
+class KeySetCube {
+ public:
+  /// `keys_per_item[i]` is K_i.
+  KeySetCube(const RegionSpace* space,
+             const std::vector<int32_t>& keys_per_item)
+      : word_offsets_(WordOffsets(keys_per_item)),
+        words_(space, word_offsets_.back()) {}
+
+  /// sum_i ceil(K_i/64).
+  int32_t words_per_region() const { return word_offsets_.back(); }
+
+  /// Adds `rank` to item `item`'s set in region `r`; use on base regions
+  /// during the fill phase.
+  void Insert(RegionId r, int32_t item, int32_t rank) {
+    BW_DCHECK(rank >= 0 &&
+              word_offsets_[item] + (rank >> 6) < word_offsets_[item + 1]);
+    words_.Cell(r, word_offsets_[item] + (rank >> 6)) |= uint64_t{1}
+                                                         << (rank & 63);
+  }
+
+  /// The bottom-up CUBE rollup; call once, after the fill.
+  void Rollup() { words_.Rollup(); }
+
+  /// Calls fn(rank) for every rank in cell (r, item), in ascending order.
+  template <typename Fn>
+  void ForEachRank(RegionId r, int32_t item, Fn&& fn) const {
+    const int32_t begin = word_offsets_[item];
+    for (int32_t w = begin; w < word_offsets_[item + 1]; ++w) {
+      for (uint64_t bits = words_.Cell(r, w); bits != 0; bits &= bits - 1) {
+        fn((w - begin) * 64 + std::countr_zero(bits));
+      }
+    }
+  }
+
+ private:
+  static std::vector<int32_t> WordOffsets(
+      const std::vector<int32_t>& keys_per_item) {
+    std::vector<int32_t> offsets(keys_per_item.size() + 1, 0);
+    for (size_t i = 0; i < keys_per_item.size(); ++i) {
+      BW_CHECK(keys_per_item[i] >= 0);
+      offsets[i + 1] = offsets[i] + (keys_per_item[i] + 63) / 64;
+    }
+    return offsets;
+  }
+
+  std::vector<int32_t> word_offsets_;  // item i: words [off[i], off[i + 1])
+  RegionItemCube<uint64_t> words_;
 };
 
 }  // namespace bellwether::olap

@@ -6,6 +6,7 @@
 #include "core/multi_instance.h"
 #include "core/training_data_gen.h"
 #include "datagen/mail_order.h"
+#include "test_util.h"
 
 namespace bellwether::core {
 namespace {
@@ -129,6 +130,53 @@ TEST_F(MultiInstanceTest, SearchFindsPlantedStateRegion) {
     EXPECT_GE(rmse, result->error.rmse - 1e-12);
   }
 }
+
+// Each column role ValidateSpec types, retyped in the mail-order schema to
+// a type the role rejects: bag generation fails with kInvalidArgument naming
+// the role instead of reading a typed column as the wrong type.
+class BagColumnRoleTest : public MultiInstanceTest,
+                          public ::testing::WithParamInterface<ColumnRoleCase> {
+};
+
+TEST_P(BagColumnRoleTest, WrongColumnTypeIsInvalidArgument) {
+  const ColumnRoleCase& c = GetParam();
+  table::Table retyped;
+  const BellwetherSpec spec = RetypedSpec(*spec_, c, "catalogs", &retyped);
+  const olap::RegionId region = *spec_->space->FindRegion({"1-3", "MD"});
+  auto bags = GenerateBagTrainingSet(spec, region);
+  ASSERT_FALSE(bags.ok());
+  EXPECT_EQ(bags.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bags.status().message().find(c.message), std::string::npos)
+      << bags.status().ToString();
+}
+
+using Owner = ColumnRoleCase::Owner;
+using table::DataType;
+INSTANTIATE_TEST_SUITE_P(
+    Roles, BagColumnRoleTest,
+    ::testing::Values(
+        ColumnRoleCase{"ItemTableId", Owner::kItemTable, "ItemID",
+                       DataType::kDouble, "item table id column must be int64",
+                       ""},
+        ColumnRoleCase{"FactItemId", Owner::kFact, "ItemID", DataType::kDouble,
+                       "fact item id column must be int64", ""},
+        ColumnRoleCase{"Dimension", Owner::kFact, "Time", DataType::kDouble,
+                       "fact dimension column must be int64", ""},
+        ColumnRoleCase{"ForeignKey", Owner::kFact, "CatalogNo",
+                       DataType::kDouble, "fact FK column must be int64", ""},
+        ColumnRoleCase{"Target", Owner::kFact, "Profit", DataType::kString,
+                       "target column must be numeric", ""},
+        ColumnRoleCase{"FactMeasure", Owner::kFact, "Profit",
+                       DataType::kString, "fact measure column must be numeric",
+                       "Quantity"},
+        ColumnRoleCase{"ReferenceMeasure", Owner::kReference, "Pages",
+                       DataType::kString,
+                       "reference measure column must be numeric", ""},
+        ColumnRoleCase{"ReferenceKey", Owner::kReference, "CatalogNo",
+                       DataType::kDouble, "reference keys must be int64", ""}),
+    [](const ::testing::TestParamInfo<ColumnRoleCase>& info) {
+      return info.param.role;
+    });
 
 }  // namespace
 }  // namespace bellwether::core

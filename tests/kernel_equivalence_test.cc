@@ -24,6 +24,7 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -285,25 +286,69 @@ TEST(FlatMergeRunTest, NumericAggRunMatchesPerCellReferenceExactly) {
   }
 }
 
-TEST(FlatMergeRunTest, FkSetAggRunMatchesReference) {
+// Key-set cells of kWords bitset words each (the pi_FK cube's layout): the
+// flat word merges must give each cell the set union, for one source and
+// for a fan-in of several.
+TEST(FlatMergeRunTest, KeySetWordRunMatchesReference) {
+  constexpr size_t kWords = 3;
+  constexpr size_t kCells = 100;
   Rng rng(43);
-  const size_t n = 100;
-  std::vector<olap::FkSetAgg> src(n), dst(n);
-  for (size_t i = 0; i < n; ++i) {
-    const int k = static_cast<int>(rng.NextUint64(5));
-    for (int j = 0; j < k; ++j) {
-      src[i].Add(static_cast<int64_t>(rng.NextUint64(20)));
+  auto random_sets = [&](double fill) {
+    std::vector<std::set<int32_t>> sets(kCells);
+    for (auto& keys : sets) {
+      if (rng.NextDouble() >= fill) continue;
+      const int k = 1 + static_cast<int>(rng.NextUint64(5));
+      for (int j = 0; j < k; ++j) {
+        keys.insert(static_cast<int32_t>(rng.NextUint64(64 * kWords)));
+      }
     }
-    if (rng.NextDouble() < 0.5) {
-      dst[i].Add(static_cast<int64_t>(rng.NextUint64(20)));
+    return sets;
+  };
+  auto to_words = [](const std::vector<std::set<int32_t>>& sets) {
+    std::vector<uint64_t> words(kCells * kWords, 0);
+    for (size_t c = 0; c < kCells; ++c) {
+      for (int32_t key : sets[c]) {
+        words[c * kWords + key / 64] |= uint64_t{1} << (key % 64);
+      }
+    }
+    return words;
+  };
+  auto to_sets = [](const std::vector<uint64_t>& words) {
+    std::vector<std::set<int32_t>> sets(kCells);
+    for (size_t i = 0; i < words.size(); ++i) {
+      for (int b = 0; b < 64; ++b) {
+        if (words[i] >> b & 1) {
+          sets[i / kWords].insert(static_cast<int32_t>(i % kWords * 64 + b));
+        }
+      }
+    }
+    return sets;
+  };
+  const auto dst_sets = random_sets(0.5);
+  std::vector<std::vector<std::set<int32_t>>> src_sets;
+  for (int k = 0; k < 3; ++k) src_sets.push_back(random_sets(0.8));
+  auto expect = dst_sets;
+  for (size_t c = 0; c < kCells; ++c) {
+    expect[c].insert(src_sets[0][c].begin(), src_sets[0][c].end());
+  }
+  std::vector<uint64_t> dst = to_words(dst_sets);
+  std::vector<uint64_t> src = to_words(src_sets[0]);
+  olap::detail::MergeAccRun(dst.data(), src.data(), dst.size());
+  EXPECT_EQ(to_sets(dst), expect);
+
+  for (size_t k = 1; k < src_sets.size(); ++k) {
+    for (size_t c = 0; c < kCells; ++c) {
+      expect[c].insert(src_sets[k][c].begin(), src_sets[k][c].end());
     }
   }
-  std::vector<olap::FkSetAgg> expect = dst;
-  for (size_t i = 0; i < n; ++i) {
-    if (!src[i].empty()) expect[i].Merge(src[i]);
-  }
-  olap::detail::MergeAccRun(dst.data(), src.data(), n);
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(dst[i].keys, expect[i].keys);
+  std::vector<std::vector<uint64_t>> srcs;
+  std::vector<const uint64_t*> ptrs;
+  for (const auto& sets : src_sets) srcs.push_back(to_words(sets));
+  for (const auto& words : srcs) ptrs.push_back(words.data());
+  dst = to_words(dst_sets);
+  olap::detail::MergeAccRunFanIn(dst.data(), ptrs.data(), ptrs.size(),
+                                 dst.size());
+  EXPECT_EQ(to_sets(dst), expect);
 }
 
 // End-to-end rollup oracle: aggregate every draw directly into every

@@ -228,14 +228,30 @@ TEST(NumericAggTest, EmptyFinish) {
   EXPECT_DOUBLE_EQ(*a.Finish(table::AggFn::kCount), 0.0);
 }
 
-TEST(FkSetAggTest, UnionSemantics) {
-  FkSetAgg a, b;
-  a.Add(1);
-  a.Add(2);
-  b.Add(2);
-  b.Add(3);
-  a.Merge(b);
-  EXPECT_EQ(a.keys.size(), 3u);
+// The ranks of cell (r, item), in the order ForEachRank visits them.
+std::vector<int32_t> RanksOf(const KeySetCube& cube, RegionId r,
+                             int32_t item) {
+  std::vector<int32_t> ranks;
+  cube.ForEachRank(r, item, [&](int32_t rank) { ranks.push_back(rank); });
+  return ranks;
+}
+
+TEST(KeySetCubeTest, UnionSemantics) {
+  RegionSpace space = MakeSpace(1);
+  const auto& loc = std::get<HierarchicalDimension>(space.dim(1));
+  const RegionId wi = space.Encode(space.BaseCellOf({1, *loc.FindNode("WI")}));
+  const RegionId md = space.Encode(space.BaseCellOf({1, *loc.FindNode("MD")}));
+  // Item 0 ranks 3 keys (one word), item 1 ranks 130 (three words).
+  KeySetCube cube(&space, {3, 130});
+  EXPECT_EQ(cube.words_per_region(), 4);
+  for (int32_t rank : {1, 2, 64, 129}) cube.Insert(wi, 1, rank);
+  for (int32_t rank : {2, 3, 64}) cube.Insert(md, 1, rank);
+  cube.Insert(md, 0, 2);
+  cube.Rollup();
+  const RegionId us = *space.FindRegion({"1-1", "US"});
+  EXPECT_EQ(RanksOf(cube, us, 1), (std::vector<int32_t>{1, 2, 3, 64, 129}));
+  EXPECT_EQ(RanksOf(cube, us, 0), std::vector<int32_t>{2});
+  EXPECT_EQ(RanksOf(cube, wi, 1), (std::vector<int32_t>{1, 2, 64, 129}));
 }
 
 TEST(ItemDictionaryTest, DenseIndices) {
@@ -375,22 +391,26 @@ TEST(SlidingRegionSpaceTest, CostModelAndIcebergStillExact) {
   EXPECT_EQ(brute.regions, pruned.regions);
 }
 
-TEST(RegionItemCubeTest, FkSetRollupIsExactUnderOverlap) {
+TEST(KeySetCubeTest, RollupIsExactUnderOverlap) {
   RegionSpace space = MakeSpace(2);
   const auto& loc = std::get<HierarchicalDimension>(space.dim(1));
   const NodeId wi = *loc.FindNode("WI");
   const NodeId md = *loc.FindNode("MD");
-  RegionItemCube<FkSetAgg> cube(&space, 1);
+  auto base = [&](int32_t week, NodeId state) {
+    return space.Encode(space.BaseCellOf({week, state}));
+  };
+  // One item with two keys: rank 0 (say key 42) and rank 1 (key 43).
+  KeySetCube cube(&space, {2});
   // The same FK appears in two different states: the US rollup must count
   // it once.
-  cube.BaseCell({1, wi}, 0).Add(42);
-  cube.BaseCell({1, md}, 0).Add(42);
-  cube.BaseCell({2, md}, 0).Add(43);
+  cube.Insert(base(1, wi), 0, 0);
+  cube.Insert(base(1, md), 0, 0);
+  cube.Insert(base(2, md), 0, 1);
   cube.Rollup();
   const RegionId us1 = *space.FindRegion({"1-1", "US"});
   const RegionId us2 = *space.FindRegion({"1-2", "US"});
-  EXPECT_EQ(cube.Cell(us1, 0).keys.size(), 1u);
-  EXPECT_EQ(cube.Cell(us2, 0).keys.size(), 2u);
+  EXPECT_EQ(RanksOf(cube, us1, 0).size(), 1u);
+  EXPECT_EQ(RanksOf(cube, us2, 0).size(), 2u);
 }
 
 TEST(CostModelTest, RegionCostIsSumOfFinestCells) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "table/csv.h"
@@ -196,6 +198,169 @@ TEST(CsvTest, MissingFileFails) {
   auto r = ReadCsv("/nonexistent/nope.csv", Schema({{"a", DataType::kInt64}}));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+}
+
+// ---- ReadCsv parity: the reader's accepted dialect, pinned case by case ----
+
+// Writes `content` verbatim and reads it back with `schema`.
+Result<Table> ReadContent(const std::string& name, const std::string& content,
+                          const Schema& schema,
+                          const CsvReadOptions& options = {}) {
+  const std::string path = TestTempPath(name);
+  FILE* f = fopen(path.c_str(), "wb");
+  fwrite(content.data(), 1, content.size(), f);
+  fclose(f);
+  auto t = ReadCsv(path, schema, options);
+  std::remove(path.c_str());
+  return t;
+}
+
+Schema IntIntSchema() {
+  return Schema({{"x", DataType::kInt64}, {"y", DataType::kInt64}});
+}
+
+TEST(CsvParityTest, CrlfKeepsTheCarriageReturnInTheLastField) {
+  auto text = ReadContent("crlf_str.csv", "x,s\r\n1,ab\r\n",
+                          Schema({{"x", DataType::kInt64},
+                                  {"s", DataType::kString}}));
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  ASSERT_EQ(text->num_rows(), 1u);
+  EXPECT_EQ(text->column(1).StringAt(0), "ab\r");
+  auto numeric = ReadContent("crlf_num.csv", "x,y\r\n1,2\r\n", IntIntSchema());
+  ASSERT_FALSE(numeric.ok());
+  EXPECT_NE(numeric.status().message().find(":2: column 'y' (#1): bad int64"),
+            std::string::npos)
+      << numeric.status().ToString();
+}
+
+TEST(CsvParityTest, FinalLineWithoutNewlineIsRead) {
+  auto t = ReadContent("no_eol.csv", "x,y\n1,2\n3,4", IntIntSchema());
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->num_rows(), 2u);
+  EXPECT_EQ(t->column(1).Int64At(1), 4);
+}
+
+TEST(CsvParityTest, BlankLinesAreSkippedButCounted) {
+  CsvReadOptions options;
+  options.row_policy = robust::RowErrorPolicy::kPermissive;
+  robust::QuarantineStats stats;
+  options.stats = &stats;
+  auto t = ReadContent("blank.csv", "x,y\n1,2\n\n\n3,4\nbad\n\n5,6\n",
+                       IntIntSchema(), options);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->num_rows(), 3u);
+  EXPECT_EQ(stats.rows_seen, 4);
+  ASSERT_EQ(stats.sample_errors.size(), 1u);
+  EXPECT_NE(stats.sample_errors[0].find(":6: expected 2 fields, got 1"),
+            std::string::npos)
+      << stats.sample_errors[0];
+}
+
+TEST(CsvParityTest, LeadingSpaceAndPlusAcceptedTrailingSpaceRejected) {
+  const Schema schema({{"i", DataType::kInt64}, {"d", DataType::kDouble}});
+  auto t = ReadContent("signs.csv", "i,d\n 5, 1.5\n+7,+2.5\n", schema);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->num_rows(), 2u);
+  EXPECT_EQ(t->column(0).Int64At(0), 5);
+  EXPECT_EQ(t->column(0).Int64At(1), 7);
+  EXPECT_EQ(t->column(1).DoubleAt(0), 1.5);
+  EXPECT_EQ(t->column(1).DoubleAt(1), 2.5);
+  auto int_trailing = ReadContent("trail_i.csv", "i,d\n5 ,1\n", schema);
+  ASSERT_FALSE(int_trailing.ok());
+  EXPECT_NE(int_trailing.status().message().find("bad int64 '5 '"),
+            std::string::npos);
+  auto dbl_trailing = ReadContent("trail_d.csv", "i,d\n5,1.5 \n", schema);
+  ASSERT_FALSE(dbl_trailing.ok());
+  EXPECT_NE(dbl_trailing.status().message().find("bad double '1.5 '"),
+            std::string::npos);
+}
+
+TEST(CsvParityTest, NumberSyntaxFollowsStrtollAndStrtod) {
+  const Schema ints({{"i", DataType::kInt64}});
+  const Schema dbls({{"d", DataType::kDouble}});
+  EXPECT_FALSE(ReadContent("hex_i.csv", "i\n0x10\n", ints).ok());
+  auto hex = ReadContent("hex_d.csv", "d\n0x1p3\n", dbls);
+  ASSERT_TRUE(hex.ok()) << hex.status().ToString();
+  EXPECT_EQ(hex->column(0).DoubleAt(0), 8.0);
+  auto special = ReadContent("special.csv", "d\ninf\nnan\n-inf\n", dbls);
+  ASSERT_TRUE(special.ok()) << special.status().ToString();
+  ASSERT_EQ(special->num_rows(), 3u);
+  EXPECT_TRUE(std::isinf(special->column(0).DoubleAt(0)));
+  EXPECT_TRUE(std::isnan(special->column(0).DoubleAt(1)));
+  EXPECT_TRUE(std::isinf(special->column(0).DoubleAt(2)));
+  auto max_i = ReadContent("max_i.csv", "i\n9223372036854775807\n", ints);
+  ASSERT_TRUE(max_i.ok());
+  EXPECT_EQ(max_i->column(0).Int64At(0), INT64_MAX);
+}
+
+TEST(CsvParityTest, OutOfRangeNumbersAreRejected) {
+  const Schema ints({{"i", DataType::kInt64}});
+  const Schema dbls({{"d", DataType::kDouble}});
+  auto big = ReadContent("big_i.csv", "i\n9223372036854775808\n", ints);
+  ASSERT_FALSE(big.ok());
+  EXPECT_NE(big.status().message().find("bad int64 '9223372036854775808'"),
+            std::string::npos);
+  auto huge = ReadContent("huge_d.csv", "d\n1e999\n", dbls);
+  ASSERT_FALSE(huge.ok());
+  EXPECT_NE(huge.status().message().find("bad double '1e999'"),
+            std::string::npos);
+  auto tiny = ReadContent("tiny_d.csv", "d\n1e-320\n", dbls);
+  ASSERT_FALSE(tiny.ok());
+  EXPECT_NE(tiny.status().message().find("bad double '1e-320'"),
+            std::string::npos);
+}
+
+TEST(CsvParityTest, QuotesAreRemovedWhereverTheyAppear) {
+  const Schema schema({{"s", DataType::kString},
+                       {"t", DataType::kString},
+                       {"u", DataType::kString},
+                       {"i", DataType::kInt64}});
+  auto t = ReadContent("quotes.csv",
+                       "s,t,u,i\n\"a\"\"b,c\",ab\"c,d\",\"\",\"12\"\n", schema);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->num_rows(), 1u);
+  EXPECT_EQ(t->column(0).StringAt(0), "a\"b,c");
+  EXPECT_EQ(t->column(1).StringAt(0), "abc,d");
+  EXPECT_TRUE(t->column(2).IsNull(0));
+  EXPECT_EQ(t->column(3).Int64At(0), 12);
+}
+
+TEST(CsvParityTest, HeaderOnlyAndEmptyHeaderFiles) {
+  auto header_only = ReadContent("header_only.csv", "x,y\n", IntIntSchema());
+  ASSERT_TRUE(header_only.ok()) << header_only.status().ToString();
+  EXPECT_EQ(header_only->num_rows(), 0u);
+  auto no_eol = ReadContent("header_no_eol.csv", "x,y", IntIntSchema());
+  ASSERT_TRUE(no_eol.ok()) << no_eol.status().ToString();
+  EXPECT_EQ(no_eol->num_rows(), 0u);
+  auto empty_header = ReadContent("empty_header.csv", "\n1,2\n",
+                                  IntIntSchema());
+  ASSERT_TRUE(empty_header.ok()) << empty_header.status().ToString();
+  ASSERT_EQ(empty_header->num_rows(), 1u);
+  EXPECT_EQ(empty_header->column(0).Int64At(0), 1);
+}
+
+TEST(CsvParityTest, NewlineInsideQuotesIsAnUnterminatedQuote) {
+  const Schema schema({{"s", DataType::kString}, {"x", DataType::kInt64}});
+  auto strict = ReadContent("nl_quote.csv", "s,x\nok,1\n\"a\nb\",2\n", schema);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_NE(strict.status().message().find(":3: unterminated quote"),
+            std::string::npos)
+      << strict.status().ToString();
+  // Each physical line is its own record: both halves are quarantined.
+  CsvReadOptions options;
+  options.row_policy = robust::RowErrorPolicy::kPermissive;
+  robust::QuarantineStats stats;
+  options.stats = &stats;
+  auto permissive = ReadContent("nl_quote_p.csv", "s,x\nok,1\n\"a\nb\",2\n",
+                                schema, options);
+  ASSERT_TRUE(permissive.ok()) << permissive.status().ToString();
+  EXPECT_EQ(permissive->num_rows(), 1u);
+  EXPECT_EQ(stats.rows_seen, 3);
+  ASSERT_EQ(stats.sample_errors.size(), 2u);
+  EXPECT_NE(stats.sample_errors[0].find(":3: unterminated quote"),
+            std::string::npos);
+  EXPECT_NE(stats.sample_errors[1].find(":4: unterminated quote"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -12,7 +12,9 @@
 #include "common/status.h"
 #include "core/bellwether_cube.h"
 #include "core/bellwether_tree.h"
+#include "core/spec.h"
 #include "robust/fault_injection.h"
+#include "table/table.h"
 
 namespace bellwether {
 
@@ -87,6 +89,65 @@ inline BellwetherCube CubeWithCells(
   }
   return BellwetherCube(std::move(subsets), std::move(cell_of),
                         std::move(cells));
+}
+
+/// A copy of `t` with column `name` retyped to `type`: values widen to
+/// double, or render as text for kString.
+inline table::Table RetypeColumn(const table::Table& t,
+                                 const std::string& name,
+                                 table::DataType type) {
+  std::vector<table::Field> fields = t.schema().fields();
+  const size_t col = t.schema().FieldIndexOrDie(name);
+  fields[col].type = type;
+  table::Table out{table::Schema(fields)};
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    std::vector<table::Value> row = t.RowAt(r);
+    if (!row[col].is_null()) {
+      row[col] = type == table::DataType::kString
+                     ? table::Value(row[col].ToString())
+                     : table::Value(row[col].AsDouble());
+    }
+    out.AppendRow(row);
+  }
+  return out;
+}
+
+/// One column role that ValidateSpec types: the table and column playing it
+/// in a test's spec, a type the role rejects, and the text of the error.
+struct ColumnRoleCase {
+  enum class Owner { kFact, kItemTable, kReference };
+  std::string role;
+  Owner owner;
+  std::string column;
+  table::DataType type;
+  std::string message;
+  /// Replacement target column when the retyped column is also the target.
+  std::string target;
+};
+
+/// `spec` with the case's column retyped. The retyped table lives in
+/// `*holder`; kReference retypes the table of `spec.references[reference]`.
+inline BellwetherSpec RetypedSpec(BellwetherSpec spec, const ColumnRoleCase& c,
+                                  const std::string& reference,
+                                  table::Table* holder) {
+  switch (c.owner) {
+    case ColumnRoleCase::Owner::kFact:
+      *holder = RetypeColumn(*spec.fact, c.column, c.type);
+      spec.fact = holder;
+      break;
+    case ColumnRoleCase::Owner::kItemTable:
+      *holder = RetypeColumn(*spec.item_table, c.column, c.type);
+      spec.item_table = holder;
+      break;
+    case ColumnRoleCase::Owner::kReference: {
+      ReferenceTable& ref = spec.references.at(reference);
+      *holder = RetypeColumn(*ref.table, c.column, c.type);
+      ref.table = holder;
+      break;
+    }
+  }
+  if (!c.target.empty()) spec.target_column = c.target;
+  return spec;
 }
 
 }  // namespace core
