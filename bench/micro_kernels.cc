@@ -86,15 +86,44 @@ void BM_SuffStatsAddBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kRowPool));
-  // Row reads per example; accumulator read+write amortized over the
-  // rank-4 register blocking.
-  const int64_t batch_bytes = static_cast<int64_t>(
-      8 * (kRowPool * p +
-           2 * (regression::RegressionSuffStats::PackedSize(p) + p) *
-               (kRowPool / 4)));
-  state.SetBytesProcessed(state.iterations() * batch_bytes);
+  // Row reads per example; the accumulators are read and written once per
+  // batch.
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(8 * kRowPool * (p + 1)));
 }
 BENCHMARK(BM_SuffStatsAddBatch)->Arg(3)->Arg(6)->Arg(12)->Arg(24);
+
+// AddRows over a row list of a 64Ki-row set, the way the builders call it:
+// the rows in order (contiguous) or every 8th row first, then every 8th from
+// row 1, ... (stride 8, all rows). 32 passes per iteration keep one
+// iteration above benchdiff's 5 ms noise floor. Args: p, stride.
+void BM_SuffStatsAddRows(benchmark::State& state) {
+  const size_t p = state.range(0);
+  const size_t stride = state.range(1);
+  constexpr size_t kRows = 1 << 16;
+  constexpr int kPasses = 32;
+  Rng rng(11);
+  std::vector<double> xs(kRows * p), ys(kRows);
+  for (auto& v : xs) v = rng.NextDouble(-1, 1);
+  for (auto& y : ys) y = rng.NextDouble();
+  std::vector<uint32_t> list;
+  list.reserve(kRows);
+  for (size_t first = 0; first < stride; ++first) {
+    for (size_t r = first; r < kRows; r += stride) {
+      list.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  regression::RegressionSuffStats stats(p);
+  for (auto _ : state) {
+    for (int pass = 0; pass < kPasses; ++pass) {
+      stats.AddRows(xs.data(), ys.data(), nullptr, list.data(), kRows);
+    }
+    benchmark::DoNotOptimize(stats);
+  }
+  state.SetItemsProcessed(state.iterations() * kPasses *
+                          static_cast<int64_t>(kRows));
+}
+BENCHMARK(BM_SuffStatsAddRows)->ArgsProduct({{5, 6, 12}, {1, 8}});
 
 void BM_SuffStatsMerge(benchmark::State& state) {
   const size_t p = state.range(0);

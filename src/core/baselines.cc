@@ -31,10 +31,10 @@ Result<regression::ErrorStats> RandomSamplingError(const BellwetherSpec& spec,
     if (picked.empty()) continue;
     BW_ASSIGN_OR_RETURN(storage::RegionTrainingSet set,
                         GenerateCellSetTrainingSet(spec, picked));
-    const regression::Dataset data = ToDataset(set);
-    if (data.num_examples() < 2) continue;
+    const regression::RowSet rows = RowsOf(set);
+    if (rows.n < 2) continue;
     Rng fold_rng = rng->Fork();
-    auto err = regression::EstimateError(data, spec.error_estimate,
+    auto err = regression::EstimateError(rows, spec.error_estimate,
                                          spec.cv_folds, &fold_rng);
     if (!err.ok()) continue;
     rmses.push_back(err->rmse);

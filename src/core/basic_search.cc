@@ -47,14 +47,15 @@ void ScoreRegion(const storage::RegionTrainingSet& set,
                  const std::vector<uint8_t>* item_mask, RegionScore* score) {
   score->region = set.region;
   score->usable = false;
-  const regression::Dataset data = ToDataset(set, item_mask);
-  score->num_examples = data.num_examples();
-  if (data.num_examples() <
+  std::vector<uint32_t> list;
+  const regression::RowSet rows = MaskedRows(set, item_mask, &list);
+  score->num_examples = rows.n;
+  if (rows.n <
       static_cast<size_t>(std::max<int32_t>(options.min_examples, 2))) {
     return;
   }
   Rng rng(RegionSeed(options.seed, set.region));
-  auto err = regression::EstimateError(data, options.estimate,
+  auto err = regression::EstimateError(rows, options.estimate,
                                        options.cv_folds, &rng);
   if (!err.ok()) return;
   score->error = *err;
@@ -64,9 +65,10 @@ void ScoreRegion(const storage::RegionTrainingSet& set,
 Status RefitModelFromSet(const storage::RegionTrainingSet& set,
                          const std::vector<uint8_t>* item_mask,
                          BasicSearchResult* result) {
-  const regression::Dataset data = ToDataset(set, item_mask);
-  regression::RegressionSuffStats stats(data.num_features());
-  stats.AddDataset(data);
+  std::vector<uint32_t> list;
+  const regression::RowSet rows = MaskedRows(set, item_mask, &list);
+  regression::RegressionSuffStats stats(rows.p);
+  stats.AddRows(rows);
   BW_ASSIGN_OR_RETURN(regression::RobustFit fit, stats.FitWithFallback());
   result->model = std::move(fit.model);
   result->model_degradation = fit.degradation;

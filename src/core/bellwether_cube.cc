@@ -173,23 +173,17 @@ Result<CubeCell> BuildCubeCell(SubsetId sid, int32_t subset_size,
   if (cell.has_model && config.compute_cv_stats && rows != nullptr) {
     BW_RETURN_IF_ERROR(
         rows(cell.region, [&](const RegionTrainingSet& set) -> Status {
-          regression::Dataset data(set.num_features);
-          std::vector<double> row(set.num_features);
+          std::vector<uint32_t> list;
           for (size_t r = 0; r < set.num_examples(); ++r) {
             const int32_t item = set.items[r];
             if (ItemMasked(item_mask, item)) continue;
             if (!subsets.SubsetContainsItem(sid, item)) continue;
-            row.assign(set.row(r), set.row(r) + set.num_features);
-            if (set.weighted()) {
-              data.AddWeighted(row, set.targets[r], set.weight(r));
-            } else {
-              data.Add(row, set.targets[r]);
-            }
+            list.push_back(static_cast<uint32_t>(r));
           }
           Rng rng(RegionSeed(config.seed ^ static_cast<uint64_t>(sid),
                              cell.region));
-          auto cv =
-              regression::CrossValidationError(data, config.cv_folds, &rng);
+          auto cv = regression::CrossValidationError(RowsOf(set, &list),
+                                                     config.cv_folds, &rng);
           if (cv.ok()) {
             cell.cv = *cv;
             cell.has_cv = true;
@@ -509,6 +503,7 @@ Result<BellwetherCube> BuildBellwetherCubeNaive(
   const size_t num_sets = source->num_region_sets();
 
   std::vector<uint8_t> member(subsets->num_items(), 0);
+  std::vector<uint32_t> list;
   for (size_t k = 0; k < significant.size(); ++k) {
     const SubsetId sid = significant[k];
     ++telemetry.data_passes;
@@ -519,12 +514,12 @@ Result<BellwetherCube> BuildBellwetherCubeNaive(
     // One basic bellwether search for this subset: read every region.
     for (size_t s = 0; s < num_sets; ++s) {
       BW_ASSIGN_OR_RETURN(RegionTrainingSet set, source->Read(s));
-      RegressionSuffStats stats(set.num_features);
+      list.clear();
       for (size_t row = 0; row < set.num_examples(); ++row) {
-        if (member[set.items[row]]) {
-          stats.Add(set.row(row), set.targets[row], set.weight(row));
-        }
+        if (member[set.items[row]]) list.push_back(static_cast<uint32_t>(row));
       }
+      RegressionSuffStats stats(set.num_features);
+      stats.AddRows(RowsOf(set, &list));
       picks[k].Offer(
           TrainingErrorOfStats(stats, config.min_examples_per_model),
           set.region, stats);
@@ -578,21 +573,25 @@ Result<BellwetherCube> BuildBellwetherCubeOptimized(
 
   const size_t num_subsets = static_cast<size_t>(subsets->NumSubsets());
   std::vector<RegressionSuffStats> lattice(num_subsets);
+  RowLists lists;
   BW_RETURN_IF_ERROR(source->Scan([&](const RegionTrainingSet& set)
                                       -> Status {
     for (auto& s : lattice) {
       if (!s.empty()) s.Reset();
     }
     // Theorem 1: accumulate g(.) at the base subsets only...
-    for (size_t row = 0; row < set.num_examples(); ++row) {
-      const int32_t item = set.items[row];
-      if (internal::ItemMasked(item_mask, item)) continue;
-      RegressionSuffStats& s = lattice[base_of[item]];
-      if (s.num_features() == 0) {
-        s = RegressionSuffStats(set.num_features);
+    lists.Build(num_subsets, [&](auto&& emit) {
+      for (size_t row = 0; row < set.num_examples(); ++row) {
+        const int32_t item = set.items[row];
+        if (!internal::ItemMasked(item_mask, item)) emit(base_of[item], row);
       }
-      s.Add(set.row(row), set.targets[row], set.weight(row));
+    });
+    for (size_t s = 0; s < num_subsets; ++s) {
+      if (lists.size(s) > 0 && lattice[s].num_features() == 0) {
+        lattice[s] = RegressionSuffStats(set.num_features);
+      }
     }
+    AddListedRows(set, lists, lattice.data());
     // ...then combine with q(.) (element-wise sums) up the lattice.
     RollupSubsetStats(subsets->space(), &lattice);
     for (size_t k = 0; k < significant.size(); ++k) {

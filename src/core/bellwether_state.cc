@@ -240,6 +240,7 @@ Status BellwetherState::IngestScan(storage::TrainingDataSource* source) {
     olap::RegionId region = olap::kInvalidRegion;
     std::vector<RegressionSuffStats> stats;  // per significant subset
     std::vector<double> error;
+    RowLists lists;  // per significant subset
   };
   const auto compute = [this, &config](const RegionTrainingSet& set,
                                        RegionCubeStats* r) {
@@ -252,7 +253,7 @@ Status BellwetherState::IngestScan(storage::TrainingDataSource* source) {
     } else {
       for (RegressionSuffStats& s : r->stats) s.Reset();
     }
-    FoldRows(set, &r->stats);
+    FoldRows(set, &r->lists, &r->stats);
     for (size_t k = 0; k < significant_.size(); ++k) {
       r->error[k] =
           TrainingErrorOfStats(r->stats[k], config.min_examples_per_model);
@@ -318,13 +319,16 @@ BellwetherState::RegionSlot& BellwetherState::SlotFor(olap::RegionId region,
   return slot;
 }
 
-void BellwetherState::FoldRows(const RegionTrainingSet& set,
+void BellwetherState::FoldRows(const RegionTrainingSet& set, RowLists* lists,
                                std::vector<RegressionSuffStats>* stats) const {
-  for (size_t row = 0; row < set.num_examples(); ++row) {
-    for (int32_t k : containing_[set.items[row]]) {
-      (*stats)[k].Add(set.row(row), set.targets[row], set.weight(row));
+  lists->Build(significant_.size(), [&](auto&& emit) {
+    for (size_t row = 0; row < set.num_examples(); ++row) {
+      for (int32_t k : containing_[set.items[row]]) {
+        emit(static_cast<size_t>(k), row);
+      }
     }
-  }
+  });
+  AddListedRows(set, *lists, stats->data());
 }
 
 Status BellwetherState::ValidateDeltaBatch(
@@ -454,7 +458,8 @@ Status BellwetherState::ApplyDelta(std::vector<RegionTrainingSet> batch) {
           }
         }
         std::sort(d.touched.begin(), d.touched.end());
-        FoldRows(d.set, &d.stats);
+        RowLists lists;
+        FoldRows(d.set, &lists, &d.stats);
         d.errors.reserve(d.touched.size());
         for (int32_t k : d.touched) {
           d.errors.push_back(

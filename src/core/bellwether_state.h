@@ -167,9 +167,10 @@ class BellwetherState {
   RegionSlot& SlotFor(olap::RegionId region, int32_t num_features);
   /// Adds each row of `set`, in row order, to the statistics of every
   /// significant subset containing its item: "build a model h_r on r for S"
-  /// for every S at once. `stats` is indexed by significant index. The one
-  /// fold IngestScan and ApplyDelta share.
-  void FoldRows(const storage::RegionTrainingSet& set,
+  /// for every S at once, as one row list and one AddRows per subset.
+  /// `stats` is indexed by significant index; `lists` is a reused buffer.
+  /// The one fold IngestScan and ApplyDelta share.
+  void FoldRows(const storage::RegionTrainingSet& set, RowLists* lists,
                 std::vector<regression::RegressionSuffStats>* stats) const;
   Status ValidateDeltaBatch(
       const std::vector<storage::RegionTrainingSet>& batch) const;

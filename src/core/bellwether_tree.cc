@@ -196,26 +196,21 @@ void ScoreColumnCandidates(const ColumnBuckets& col,
   }
 }
 
-// Adds each row of a region's set, in row order, to the statistics its
+// Lists each row of a region's set, in row order, under the statistics its
 // item's `stride` slots name (-1 skips a slot; a first slot of -1 skips the
-// row). Flattened because RegressionSuffStats::Add is meant to inline into
-// its caller's row loop, and GCC at -O2 keeps it out of line inside the
-// large level-scan lambda.
-[[gnu::flatten]] void AccumulateLevelRows(const RegionTrainingSet& set,
-                                          const int32_t* item_slots,
-                                          size_t stride,
-                                          RegressionSuffStats* stats) {
-  for (size_t row = 0; row < set.num_examples(); ++row) {
-    const int32_t* slots =
-        &item_slots[static_cast<size_t>(set.items[row]) * stride];
-    if (slots[0] < 0) continue;
-    const double* x = set.row(row);
-    const double y = set.targets[row];
-    const double w = set.weight(row);
-    for (size_t k = 0; k < stride; ++k) {
-      if (slots[k] >= 0) stats[slots[k]].Add(x, y, w);
+// row).
+void ListLevelRows(const RegionTrainingSet& set, const int32_t* item_slots,
+                   size_t stride, size_t num_slots, RowLists* lists) {
+  lists->Build(num_slots, [&](auto&& emit) {
+    for (size_t row = 0; row < set.num_examples(); ++row) {
+      const int32_t* slots =
+          &item_slots[static_cast<size_t>(set.items[row]) * stride];
+      if (slots[0] < 0) continue;
+      for (size_t k = 0; k < stride; ++k) {
+        if (slots[k] >= 0) emit(static_cast<size_t>(slots[k]), row);
+      }
     }
-  }
+  });
 }
 
 // Goodness(c) = |S| Error(h_r|S) - sum_p |S_p| Error(h_rp|S_p), with -inf
@@ -561,6 +556,8 @@ Result<BellwetherTree> BuildBellwetherTreeNaive(
   // Scratch: item -> bucket in the column being evaluated (-1 for a null
   // category, -2 when the item is not in the node).
   std::vector<int32_t> membership(num_items, 0);
+  std::vector<uint32_t> list;  // the node's rows of one region
+  RowLists lists;              // one column's buckets in one region
 
   const size_t num_sets = source->num_region_sets();
   while (!queue.empty()) {
@@ -581,12 +578,14 @@ Result<BellwetherTree> BuildBellwetherTreeNaive(
       BW_ASSIGN_OR_RETURN(RegionTrainingSet set, source->Read(s));
       ++telemetry.region_reads;
       p_features = set.num_features;
-      RegressionSuffStats stats(set.num_features);
+      list.clear();
       for (size_t row = 0; row < set.num_examples(); ++row) {
         if (membership[set.items[row]] != -2) {
-          stats.Add(set.row(row), set.targets[row], set.weight(row));
+          list.push_back(static_cast<uint32_t>(row));
         }
       }
+      RegressionSuffStats stats(set.num_features);
+      stats.AddRows(RowsOf(set, &list));
       self.Offer(TrainingErrorOfStats(stats, config.min_examples_per_model),
                  set.region, stats);
     }
@@ -620,13 +619,13 @@ Result<BellwetherTree> BuildBellwetherTreeNaive(
             BW_ASSIGN_OR_RETURN(RegionTrainingSet set, source->Read(s));
             ++telemetry.region_reads;
             for (auto& st : buckets) st.Reset();
-            for (size_t row = 0; row < set.num_examples(); ++row) {
-              const int32_t b = membership[set.items[row]];
-              if (b >= 0) {
-                buckets[b].Add(set.row(row), set.targets[row],
-                               set.weight(row));
+            lists.Build(buckets.size(), [&](auto&& emit) {
+              for (size_t row = 0; row < set.num_examples(); ++row) {
+                const int32_t b = membership[set.items[row]];
+                if (b >= 0) emit(static_cast<size_t>(b), row);
               }
-            }
+            });
+            AddListedRows(set, lists, buckets.data());
             ScoreColumnCandidates(col, buckets.data(), t, t + 1,
                                   config.min_examples_per_model, &side,
                                   errors.data());
@@ -700,6 +699,7 @@ Result<BellwetherTree> BuildBellwetherTreeRainForest(
     std::vector<RegressionSuffStats> stats;  // [slot]
     RegressionSuffStats side;                // ScoreColumnCandidates scratch
     std::vector<double> errors;              // NodeEval::first_error layout
+    RowLists lists;                          // [slot] -> rows
   };
 
   while (!level.empty()) {
@@ -768,11 +768,15 @@ Result<BellwetherTree> BuildBellwetherTreeRainForest(
       } else {
         for (auto& st : r->stats) st.Reset();
       }
-      AccumulateLevelRows(set, item_slots.data(), stride, r->stats.data());
+      ListLevelRows(set, item_slots.data(), stride,
+                    static_cast<size_t>(num_slots), &r->lists);
+      AddListedRows(set, r->lists, r->stats.data());
       for (const NodeEval& e : evals) {
         r->errors[e.first_error] = TrainingErrorOfStats(
             r->stats[e.self_slot], config.min_examples_per_model);
-        double* errors = &r->errors[e.first_error + 1];
+        // Formed without indexing: for a last node without candidates it
+        // is the end of `errors`.
+        double* errors = r->errors.data() + e.first_error + 1;
         for (const ColumnBuckets& col : e.columns) {
           ScoreColumnCandidates(col, &r->stats[col.first_slot], 0,
                                 col.num_candidates,
@@ -798,7 +802,7 @@ Result<BellwetherTree> BuildBellwetherTreeRainForest(
           for (NodeEval& e : evals) {
             e.self.Offer(r->errors[e.first_error], r->region,
                          r->stats[e.self_slot]);
-            const double* errors = &r->errors[e.first_error + 1];
+            const double* errors = r->errors.data() + e.first_error + 1;
             for (auto& min_err : e.min_error) {
               for (double& m : min_err) m = std::min(m, *errors++);
             }

@@ -27,13 +27,12 @@ Result<regression::ErrorStats> EvaluateCells(
       storage::RegionTrainingSet set,
       GenerateCellSetTrainingSet(
           spec, std::vector<int64_t>(cells.begin(), cells.end())));
-  const regression::Dataset data = ToDataset(set);
-  if (data.num_examples() <
-      static_cast<size_t>(std::max(options.min_examples, 2))) {
+  const regression::RowSet rows = RowsOf(set);
+  if (rows.n < static_cast<size_t>(std::max(options.min_examples, 2))) {
     return Status::FailedPrecondition("too few examples in cell union");
   }
   Rng rng(options.seed);
-  return regression::CrossValidationError(data, options.cv_folds, &rng);
+  return regression::CrossValidationError(rows, options.cv_folds, &rng);
 }
 
 }  // namespace
@@ -100,8 +99,9 @@ Result<CombinatorialResult> RunCombinatorialSearch(
   best.cells.assign(chosen_cells.begin(), chosen_cells.end());
   BW_ASSIGN_OR_RETURN(storage::RegionTrainingSet set,
                       GenerateCellSetTrainingSet(spec, best.cells));
-  BW_ASSIGN_OR_RETURN(best.model,
-                      regression::FitLeastSquares(ToDataset(set)));
+  regression::RegressionSuffStats stats(set.num_features);
+  stats.AddRows(RowsOf(set));
+  BW_ASSIGN_OR_RETURN(best.model, stats.Fit());
   return best;
 }
 

@@ -17,26 +17,41 @@ double TrainingErrorOfStats(const regression::RegressionSuffStats& stats,
   return rmse.ok() ? *rmse : std::numeric_limits<double>::infinity();
 }
 
-regression::Dataset ToDataset(const storage::RegionTrainingSet& set,
-                              const std::vector<uint8_t>* item_mask) {
-  regression::Dataset data(set.num_features);
-  data.Reserve(set.num_examples());
-  std::vector<double> row(set.num_features);
+regression::RowSet RowsOf(const storage::RegionTrainingSet& set,
+                          const std::vector<uint32_t>* list) {
+  return regression::RowSet{
+      set.features.data(),
+      set.targets.data(),
+      set.weighted() ? set.weights.data() : nullptr,
+      static_cast<size_t>(set.num_features),
+      list == nullptr ? nullptr : list->data(),
+      list == nullptr ? set.num_examples() : list->size()};
+}
+
+regression::RowSet MaskedRows(const storage::RegionTrainingSet& set,
+                              const std::vector<uint8_t>* item_mask,
+                              std::vector<uint32_t>* list) {
+  if (item_mask == nullptr) return RowsOf(set);
+  list->clear();
   for (size_t i = 0; i < set.num_examples(); ++i) {
     const int32_t item = set.items[i];
-    if (item_mask != nullptr &&
-        (static_cast<size_t>(item) >= item_mask->size() ||
-         (*item_mask)[item] == 0)) {
-      continue;
-    }
-    row.assign(set.row(i), set.row(i) + set.num_features);
-    if (set.weighted()) {
-      data.AddWeighted(row, set.targets[i], set.weight(i));
-    } else {
-      data.Add(row, set.targets[i]);
+    if (static_cast<size_t>(item) < item_mask->size() &&
+        (*item_mask)[item] != 0) {
+      list->push_back(static_cast<uint32_t>(i));
     }
   }
-  return data;
+  return RowsOf(set, list);
+}
+
+void AddListedRows(const storage::RegionTrainingSet& set,
+                   const RowLists& lists,
+                   regression::RegressionSuffStats* stats) {
+  regression::RowSet rows = RowsOf(set);
+  for (size_t k = 0; k < lists.num_lists(); ++k) {
+    rows.rows = lists.rows(k);
+    rows.n = lists.size(k);
+    if (rows.n > 0) stats[k].AddRows(rows);
+  }
 }
 
 Status ModelArityMismatch(size_t model_features, size_t row_features) {

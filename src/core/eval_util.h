@@ -18,12 +18,54 @@ namespace bellwether::core {
 double TrainingErrorOfStats(const regression::RegressionSuffStats& stats,
                             int32_t min_examples);
 
-/// Builds a regression dataset from a region training set. When `item_mask`
-/// is non-null, only rows whose item index has a non-zero mask entry are
-/// included (used by item-centric cross-validation and by the tree/cube
-/// algorithms to restrict a region's data to an item subset).
-regression::Dataset ToDataset(const storage::RegionTrainingSet& set,
-                              const std::vector<uint8_t>* item_mask = nullptr);
+/// The rows of `set` as a view over its own arrays: every row, or the rows
+/// `list` names (it must outlive the view).
+regression::RowSet RowsOf(const storage::RegionTrainingSet& set,
+                          const std::vector<uint32_t>* list = nullptr);
+
+/// The rows of `set` whose item has a non-zero `item_mask` entry (every row
+/// when `item_mask` is null; items past its end are excluded). With a mask
+/// the row list is written to `list`, which must outlive the view.
+regression::RowSet MaskedRows(const storage::RegionTrainingSet& set,
+                              const std::vector<uint8_t>* item_mask,
+                              std::vector<uint32_t>* list);
+
+/// A training set's rows grouped into numbered lists, each in row order (a
+/// counting sort): the input of one AddRows call per statistic. Build keeps
+/// the buffers, so a RowLists reused across regions stops allocating.
+class RowLists {
+ public:
+  /// Builds `num_lists` lists from `for_each_pair(emit)`, which must call
+  /// emit(list, row) for every (list, row) pair in row order. It is called
+  /// twice: once to count, once to fill.
+  template <typename ForEachPair>
+  void Build(size_t num_lists, const ForEachPair& for_each_pair) {
+    begin_.assign(num_lists + 1, 0);
+    for_each_pair([this](size_t list, size_t) { ++begin_[list + 1]; });
+    for (size_t k = 1; k <= num_lists; ++k) begin_[k] += begin_[k - 1];
+    next_.assign(begin_.begin(), begin_.end() - 1);
+    rows_.resize(begin_.back());
+    for_each_pair([this](size_t list, size_t row) {
+      rows_[next_[list]++] = static_cast<uint32_t>(row);
+    });
+  }
+
+  size_t num_lists() const { return begin_.empty() ? 0 : begin_.size() - 1; }
+  const uint32_t* rows(size_t list) const {
+    return rows_.data() + begin_[list];
+  }
+  size_t size(size_t list) const { return begin_[list + 1] - begin_[list]; }
+
+ private:
+  std::vector<size_t> begin_;  // list k is rows_[begin_[k], begin_[k + 1])
+  std::vector<size_t> next_;   // fill cursors
+  std::vector<uint32_t> rows_;
+};
+
+/// Adds each non-empty list k of `lists`, read from `set`, to stats[k].
+void AddListedRows(const storage::RegionTrainingSet& set,
+                   const RowLists& lists,
+                   regression::RegressionSuffStats* stats);
 
 /// Deterministic per-region RNG seed so error estimates do not depend on the
 /// order in which regions are evaluated.

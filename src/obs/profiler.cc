@@ -7,6 +7,7 @@
 #include <pthread.h>
 #include <signal.h>
 #include <sys/time.h>
+#include <time.h>
 #include <ucontext.h>
 
 #include <algorithm>
@@ -93,9 +94,16 @@ struct ProfilerState {
   std::vector<ThreadRecord*> records;
   std::vector<RawSample> pending;  // flushed by unregistering threads
   ProfilerOptions options;
+  int64_t start_cpu_us = 0;  // process CPU time at Start
   struct sigaction old_action;
   bool old_action_valid = false;
 };
+
+int64_t ProcessCpuMicros() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
+}
 
 ProfilerState& State() {
   static ProfilerState* state = new ProfilerState();
@@ -432,6 +440,7 @@ void Profile::Merge(const Profile& other) {
   }
   total_samples_ += other.total_samples_;
   dropped_samples_ += other.dropped_samples_;
+  cpu_us_ += other.cpu_us_;
   if (period_us_ == 0) period_us_ = other.period_us_;
 }
 
@@ -507,6 +516,9 @@ std::string Profile::ToCollapsed() const {
   std::snprintf(line, sizeof(line), "# dropped_samples %lld\n",
                 static_cast<long long>(dropped_samples_));
   out += line;
+  std::snprintf(line, sizeof(line), "# cpu_us %lld\n",
+                static_cast<long long>(cpu_us_));
+  out += line;
   for (const auto& [stack, count] : stacks_) {
     out += stack;
     std::snprintf(line, sizeof(line), " %lld\n",
@@ -537,6 +549,7 @@ Result<Profile> Profile::FromCollapsed(std::string_view text) {
         if (std::strcmp(key, "dropped_samples") == 0) {
           out.dropped_samples_ = value;
         }
+        if (std::strcmp(key, "cpu_us") == 0) out.cpu_us_ = value;
       }
       continue;
     }
@@ -646,6 +659,7 @@ Status Profiler::Start(const ProfilerOptions& options) {
   running_.store(true, std::memory_order_relaxed);
   internal::SetCaptureFlag(1, true);
   g_sampling.store(true, std::memory_order_release);
+  state.start_cpu_us = ProcessCpuMicros();
 
   struct itimerval timer;
   timer.it_interval.tv_sec = options.period_us / 1000000;
@@ -669,6 +683,7 @@ Result<Profile> Profiler::Stop() {
     return Status::FailedPrecondition("profiler: not running");
   }
   g_sampling.store(false, std::memory_order_release);
+  const int64_t cpu_us = ProcessCpuMicros() - state.start_cpu_us;
   struct itimerval timer;
   std::memset(&timer, 0, sizeof(timer));
   setitimer(ITIMER_PROF, &timer, nullptr);
@@ -690,6 +705,7 @@ Result<Profile> Profiler::Stop() {
 
   Profile profile;
   profile.set_period_us(state.options.period_us);
+  profile.set_cpu_us(cpu_us);
   profile.add_dropped_samples(dropped);
   // Symbolize each unique pc once. Return addresses (every frame but the
   // leaf) point at the instruction after the call, so they resolve at

@@ -78,7 +78,7 @@ class Profile {
   void AddStack(std::string collapsed_stack, int64_t samples);
 
   /// Folds `other` into this profile: stack counts add, metadata merges
-  /// (sample counts sum; a zero period adopts the other's).
+  /// (sample counts and CPU times sum; a zero period adopts the other's).
   void Merge(const Profile& other);
 
   const std::map<std::string, int64_t>& stacks() const { return stacks_; }
@@ -86,6 +86,12 @@ class Profile {
   int64_t dropped_samples() const { return dropped_samples_; }
   int64_t period_us() const { return period_us_; }
   void set_period_us(int64_t us) { period_us_ = us; }
+  /// Process CPU time (CLOCK_PROCESS_CPUTIME_ID) between Profiler::Start
+  /// and Stop, in microseconds; 0 when not recorded (a profile parsed from
+  /// a file written without it). total_samples() * period_us() is no
+  /// substitute: see ProfilerOptions::period_us.
+  int64_t cpu_us() const { return cpu_us_; }
+  void set_cpu_us(int64_t us) { cpu_us_ = us; }
   void add_dropped_samples(int64_t n) { dropped_samples_ += n; }
   bool empty() const { return stacks_.empty(); }
 
@@ -100,8 +106,8 @@ class Profile {
 
   /// flamegraph.pl-compatible collapsed-stack text: one "stack count" line
   /// per entry, sorted by stack, trailing newline. Lossless for the stack
-  /// map; period/dropped metadata is carried in '#'-prefixed header lines
-  /// that flamegraph.pl ignores.
+  /// map; period/dropped/CPU-time metadata is carried in '#'-prefixed
+  /// header lines that flamegraph.pl ignores.
   std::string ToCollapsed() const;
 
   /// Parses ToCollapsed() output (unknown '#' headers are skipped).
@@ -112,6 +118,7 @@ class Profile {
   int64_t total_samples_ = 0;
   int64_t dropped_samples_ = 0;
   int64_t period_us_ = 0;
+  int64_t cpu_us_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -119,9 +126,12 @@ class Profile {
 // ---------------------------------------------------------------------------
 
 struct ProfilerOptions {
-  /// CPU-time interval between SIGPROF samples (setitimer ITIMER_PROF, so
-  /// the process as a whole is sampled once per `period_us` of CPU time and
-  /// the kernel delivers the signal to a currently-running thread).
+  /// Requested CPU-time interval between SIGPROF samples (setitimer
+  /// ITIMER_PROF; the kernel delivers the signal to a currently-running
+  /// thread). The kernel checks the timer only at scheduler ticks (4 ms at
+  /// CONFIG_HZ=250), so a period below the tick still yields about one
+  /// sample per tick of CPU: samples * period then undercounts CPU time,
+  /// which Profile::cpu_us() records instead.
   int64_t period_us = 1000;
   /// Deepest frame-pointer walk per sample; deeper stacks are truncated.
   int32_t max_stack_depth = 48;

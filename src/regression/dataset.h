@@ -8,6 +8,23 @@
 
 namespace bellwether::regression {
 
+/// Rows of a row-major training set stored elsewhere (a Dataset, a
+/// region's training set): rows[0..n) of `xs` (p values per row), `ys` and
+/// `ws` (null when every weight is 1). A null `rows` lists rows 0..n-1. The
+/// error estimators read the rows in place, through
+/// RegressionSuffStats::AddRows.
+struct RowSet {
+  const double* xs = nullptr;
+  const double* ys = nullptr;
+  const double* ws = nullptr;
+  size_t p = 0;
+  const uint32_t* rows = nullptr;
+  size_t n = 0;
+
+  /// Index of the i-th listed row.
+  size_t row(size_t i) const { return rows == nullptr ? i : rows[i]; }
+};
+
 /// A numeric training set: n examples with p feature values each (row-major),
 /// a target per example, and optional per-example weights (paper §6.4, WLS).
 /// Feature matrices built by the bellwether layer include the constant
@@ -51,6 +68,12 @@ class Dataset {
   const double* x_data() const { return x_.data(); }
   const double* y_data() const { return y_.data(); }
   const double* w_data() const { return w_.empty() ? nullptr : w_.data(); }
+
+  /// All examples, in order.
+  RowSet rows() const {
+    return RowSet{x_.data(), y_.data(), w_data(), num_features_, nullptr,
+                  num_examples()};
+  }
 
   void Reserve(size_t n) {
     x_.reserve(n * num_features_);

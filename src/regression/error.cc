@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.h"
 
@@ -86,9 +87,9 @@ double NormalQuantileTwoSided(double confidence) {
   return NormalInverseCdf(0.5 + confidence / 2.0);
 }
 
-Result<ErrorStats> TrainingSetError(const Dataset& data) {
-  RegressionSuffStats stats(data.num_features());
-  stats.AddDataset(data);
+Result<ErrorStats> TrainingSetError(const RowSet& rows) {
+  RegressionSuffStats stats(rows.p);
+  stats.AddRows(rows);
   BW_ASSIGN_OR_RETURN(double rmse, stats.TrainingRmse());
   ErrorStats out;
   out.rmse = rmse;
@@ -97,11 +98,11 @@ Result<ErrorStats> TrainingSetError(const Dataset& data) {
   return out;
 }
 
-Result<ErrorStats> CrossValidationError(const Dataset& data, int32_t k,
+Result<ErrorStats> CrossValidationError(const RowSet& rows, int32_t k,
                                         Rng* rng) {
   BW_CHECK(rng != nullptr);
   if (k < 2) return Status::InvalidArgument("cross-validation needs k >= 2");
-  const size_t n = data.num_examples();
+  const size_t n = rows.n;
   if (n < 2) {
     return Status::FailedPrecondition(
         "cross-validation needs at least 2 examples");
@@ -112,13 +113,27 @@ Result<ErrorStats> CrossValidationError(const Dataset& data, int32_t k,
   for (size_t i = 0; i < n; ++i) order[i] = i;
   rng->Shuffle(&order);
 
-  // The folds partition the data, so by Theorem 1 each fold's statistic is
+  // The folds partition the rows, so by Theorem 1 each fold's statistic is
   // summed once and every training part is the merge of the other folds.
-  const size_t p = data.num_features();
+  // Fold f's rows, order[f], order[f + folds], ..., are listed together.
+  std::vector<uint32_t> fold_rows(n);
+  std::vector<size_t> fold_begin(static_cast<size_t>(folds) + 1, 0);
+  size_t pos = 0;
+  for (int32_t f = 0; f < folds; ++f) {
+    fold_begin[f] = pos;
+    for (size_t i = static_cast<size_t>(f); i < n; i += folds) {
+      const size_t row = rows.row(order[i]);
+      BW_CHECK(row <= UINT32_MAX);
+      fold_rows[pos++] = static_cast<uint32_t>(row);
+    }
+  }
+  fold_begin[folds] = n;
+  const size_t p = rows.p;
   std::vector<RegressionSuffStats> fold_stats(folds, RegressionSuffStats(p));
-  for (size_t i = 0; i < n; ++i) {
-    const size_t e = order[i];
-    fold_stats[i % folds].Add(data.x(e), data.y(e), data.w(e));
+  for (int32_t f = 0; f < folds; ++f) {
+    fold_stats[f].AddRows(rows.xs, rows.ys, rows.ws,
+                          fold_rows.data() + fold_begin[f],
+                          fold_begin[f + 1] - fold_begin[f]);
   }
 
   std::vector<double> fold_errors;
@@ -155,10 +170,15 @@ Result<ErrorStats> CrossValidationError(const Dataset& data, int32_t k,
   return out;
 }
 
-Result<ErrorStats> EstimateError(const Dataset& data, ErrorEstimate estimate,
+Result<ErrorStats> CrossValidationError(const Dataset& data, int32_t k,
+                                        Rng* rng) {
+  return CrossValidationError(data.rows(), k, rng);
+}
+
+Result<ErrorStats> EstimateError(const RowSet& rows, ErrorEstimate estimate,
                                  int32_t k, Rng* rng) {
-  if (estimate == ErrorEstimate::kTrainingSet) return TrainingSetError(data);
-  return CrossValidationError(data, k, rng);
+  if (estimate == ErrorEstimate::kTrainingSet) return TrainingSetError(rows);
+  return CrossValidationError(rows, k, rng);
 }
 
 }  // namespace bellwether::regression

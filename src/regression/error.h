@@ -46,22 +46,27 @@ struct ErrorStats {
 /// 0.95 -> 1.959964. Computed with the Acklam inverse-CDF approximation.
 double NormalQuantileTwoSided(double confidence);
 
-/// Training-set error: fit on `data`, evaluate on `data`, with the
+/// Training-set error: fit on `rows`, evaluate on `rows`, with the
 /// degrees-of-freedom correction of §6.4. Cheap: one pass + one solve.
-Result<ErrorStats> TrainingSetError(const Dataset& data);
+Result<ErrorStats> TrainingSetError(const RowSet& rows);
 
-/// k-fold cross-validation RMSE (§2). Deterministic for a fixed *rng: fold
-/// assignment (one shuffle, then round-robin) consumes the generator. Each
-/// fold's sufficient statistic is accumulated once; fold f's model is fit
-/// on the merge of the other folds and its held-out SSE is computed from
-/// fold f's statistic (Theorem 1), so the rows are read once for all k
-/// folds. Folds with an unsolvable fit are skipped; fails when no fold is
-/// usable or data is smaller than 2 examples.
+/// k-fold cross-validation RMSE (§2) over the listed rows, read in place.
+/// Deterministic for a fixed *rng: fold assignment (one shuffle of the list
+/// positions, then round-robin, so fold f holds positions order[f],
+/// order[f + k], ...) consumes the generator. Each fold's sufficient
+/// statistic is accumulated once, by one AddRows over the fold's rows;
+/// fold f's model is fit on the merge of the other folds and its held-out
+/// SSE is computed from fold f's statistic (Theorem 1), so the rows are
+/// read once for all k folds. Folds with an unsolvable fit are skipped;
+/// fails when no fold is usable or fewer than 2 rows are listed.
+Result<ErrorStats> CrossValidationError(const RowSet& rows, int32_t k,
+                                        Rng* rng);
+/// The same over every example of `data`.
 Result<ErrorStats> CrossValidationError(const Dataset& data, int32_t k,
                                         Rng* rng);
 
 /// Dispatches on `estimate`; cross-validation uses `k` folds.
-Result<ErrorStats> EstimateError(const Dataset& data, ErrorEstimate estimate,
+Result<ErrorStats> EstimateError(const RowSet& rows, ErrorEstimate estimate,
                                  int32_t k, Rng* rng);
 
 }  // namespace bellwether::regression

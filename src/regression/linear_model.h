@@ -1,6 +1,7 @@
 #ifndef BELLWETHER_REGRESSION_LINEAR_MODEL_H_
 #define BELLWETHER_REGRESSION_LINEAR_MODEL_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -53,6 +54,29 @@ struct RobustFit {
   bool degraded() const { return degradation != FitDegradation::kNone; }
 };
 
+class RegressionSuffStats;
+
+namespace detail {
+
+/// Largest arity AddRows' AVX-512 kernel handles: [x, y, 1] fits in one
+/// 8-lane register.
+inline constexpr size_t kAddRowsVectorMaxFeatures = 6;
+
+/// AddRows' two implementations; AddRows picks one, and the equivalence
+/// tests call each directly. The scalar path is one Add() per listed row.
+void AddRowsScalar(RegressionSuffStats* stats, const double* xs,
+                   const double* ys, const double* ws, const uint32_t* rows,
+                   size_t n);
+/// True when this CPU runs AddRowsAvx512.
+bool AddRowsHasAvx512();
+/// The AVX-512 kernel; needs AddRowsHasAvx512() and an arity in
+/// [1, kAddRowsVectorMaxFeatures].
+void AddRowsAvx512(RegressionSuffStats* stats, const double* xs,
+                   const double* ys, const double* ws, const uint32_t* rows,
+                   size_t n);
+
+}  // namespace detail
+
 /// The sufficient statistic of Theorem 1: g(S) = <Y'WY, X'WX, X'WY> plus the
 /// example count. Fixed size (1 + p*(p+1)/2 + p values), independent of |S|;
 /// merging two statistics is element-wise addition, which makes the weighted
@@ -87,21 +111,32 @@ class RegressionSuffStats {
   void Reset();
 
   /// Accumulates one example (weight w > 0; pass 1.0 for OLS). Defined
-  /// inline below — this is the single hottest call in the tree/cube
-  /// builders, and inlining lets the per-arity unrolled kernel fuse into
-  /// the caller's loop.
+  /// inline below with a per-arity unrolled body. The builders accumulate
+  /// whole row lists through AddRows instead.
   void Add(const double* x, double y, double w = 1.0);
 
-  /// Accumulates `n` examples at once: `xs` is row-major n x p, `ys` length
-  /// n, `ws` length n or null for OLS. Register-blocked rank-k update over
-  /// the packed layout — one pass that amortizes the accumulator loads and
-  /// stores over four rows. Equivalent to n Add() calls up to floating-point
-  /// contraction (same left-to-right summation order per element; see
-  /// tests/kernel_equivalence_test.cc for the pinned bound).
-  void AddBatch(const double* xs, const double* ys, const double* ws,
-                size_t n);
+  /// Accumulates rows rows[0..n) of a row-major set, in list order: `xs`
+  /// holds p values per row, `ys` a target per row, `ws` a weight per row
+  /// or null for OLS. A null `rows` means rows 0..n-1. Bit-identical to one
+  /// Add() per listed row: every accumulator gets the same multiplies and
+  /// adds in the same order (DESIGN.md "Row-list kernel"). For p <= 6 on
+  /// an AVX-512 CPU the accumulators stay in vector registers for the
+  /// whole list; otherwise it loops over Add().
+  void AddRows(const double* xs, const double* ys, const double* ws,
+               const uint32_t* rows, size_t n);
 
-  /// Accumulates a whole dataset (batched).
+  /// AddRows over the rows of a RowSet.
+  void AddRows(const RowSet& rows) {
+    AddRows(rows.xs, rows.ys, rows.ws, rows.rows, rows.n);
+  }
+
+  /// Accumulates `n` consecutive rows: AddRows over rows 0..n-1.
+  void AddBatch(const double* xs, const double* ys, const double* ws,
+                size_t n) {
+    AddRows(xs, ys, ws, nullptr, n);
+  }
+
+  /// Accumulates a whole dataset (AddRows over all of its rows).
   void AddDataset(const Dataset& data);
 
   /// The q-combine of Theorem 1: element-wise sum of the statistics — a
@@ -157,6 +192,10 @@ class RegressionSuffStats {
   double ytwy() const { return ytwy_; }
 
  private:
+  friend void detail::AddRowsAvx512(RegressionSuffStats*, const double*,
+                                    const double*, const double*,
+                                    const uint32_t*, size_t);
+
   size_t p_;
   std::vector<double> xtwx_packed_;  // X'WX upper triangle, p*(p+1)/2
   linalg::Vector xtwy_;              // X'WY, p

@@ -147,10 +147,10 @@ TEST_F(ExtensionsTest, CombinatorialAtLeastMatchesSingleRegionGreedily) {
     if (spec_->cost->RegionCost(r) > options.budget) continue;
     auto set = GenerateRegionTrainingSetNaive(*spec_, r);
     if (!set.ok()) continue;
-    const regression::Dataset d = ToDataset(*set);
-    if (d.num_examples() < 20) continue;
+    const regression::RowSet rows = MaskedRows(*set, nullptr, nullptr);
+    if (rows.n < 20) continue;
     Rng rng(options.seed);
-    auto err = regression::CrossValidationError(d, options.cv_folds, &rng);
+    auto err = regression::CrossValidationError(rows, options.cv_folds, &rng);
     if (err.ok()) best_single = std::min(best_single, err->rmse);
   }
   EXPECT_LE(combo->error.rmse, best_single + 1e-9);
@@ -237,7 +237,7 @@ TEST(WeightedSpillTest, WeightsSurviveTheSpillFile) {
   std::remove(path.c_str());
 }
 
-TEST(WeightedDatasetTest, ToDatasetCarriesWeights) {
+TEST(WeightedDatasetTest, MaskedRowsCarriesWeights) {
   storage::RegionTrainingSet set;
   set.region = 0;
   set.num_features = 1;
@@ -245,10 +245,12 @@ TEST(WeightedDatasetTest, ToDatasetCarriesWeights) {
   set.targets = {1.0, 2.0};
   set.features = {1.0, 1.0};
   set.weights = {2.0, 3.0};
-  const regression::Dataset d = ToDataset(set);
-  ASSERT_TRUE(d.weighted());
-  EXPECT_DOUBLE_EQ(d.w(0), 2.0);
-  EXPECT_DOUBLE_EQ(d.w(1), 3.0);
+  const regression::RowSet rows = MaskedRows(set, nullptr, nullptr);
+  ASSERT_NE(rows.ws, nullptr);
+  EXPECT_DOUBLE_EQ(rows.ws[rows.row(0)], 2.0);
+  EXPECT_DOUBLE_EQ(rows.ws[rows.row(1)], 3.0);
+  set.weights.clear();
+  EXPECT_EQ(MaskedRows(set, nullptr, nullptr).ws, nullptr);
 }
 
 }  // namespace

@@ -164,8 +164,8 @@ INSTANTIATE_TEST_SUITE_P(
                        "fact dimension column must be int64", ""},
         ColumnRoleCase{"ForeignKey", Owner::kFact, "CatalogNo",
                        DataType::kDouble, "fact FK column must be int64", ""},
-        ColumnRoleCase{"Target", Owner::kFact, "Profit", DataType::kString,
-                       "target column must be numeric", ""},
+        ColumnRoleCase{"TargetColumn", Owner::kFact, "Profit",
+                       DataType::kString, "target column must be numeric", ""},
         ColumnRoleCase{"FactMeasure", Owner::kFact, "Profit",
                        DataType::kString, "fact measure column must be numeric",
                        "Quantity"},

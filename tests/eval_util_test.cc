@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/eval_util.h"
 #include "regression/linear_model.h"
@@ -18,25 +19,54 @@ storage::RegionTrainingSet MakeSet(int64_t region) {
   return set;
 }
 
-TEST(EvalUtilTest, ToDatasetCopiesRows) {
+TEST(EvalUtilTest, MaskedRowsViewsEveryRow) {
   const auto set = MakeSet(0);
-  const regression::Dataset d = ToDataset(set);
-  ASSERT_EQ(d.num_examples(), 3u);
-  EXPECT_DOUBLE_EQ(d.x(1)[1], 3.1);
-  EXPECT_DOUBLE_EQ(d.y(2), 70.0);
+  std::vector<uint32_t> list;
+  const regression::RowSet rows = MaskedRows(set, nullptr, &list);
+  ASSERT_EQ(rows.n, 3u);
+  EXPECT_EQ(rows.rows, nullptr);  // every row, read in place
+  EXPECT_EQ(rows.xs, set.features.data());
+  EXPECT_EQ(rows.p, 2u);
+  EXPECT_DOUBLE_EQ(rows.xs[rows.row(1) * rows.p + 1], 3.1);
+  EXPECT_DOUBLE_EQ(rows.ys[rows.row(2)], 70.0);
+  EXPECT_EQ(rows.ws, nullptr);
 }
 
-TEST(EvalUtilTest, ToDatasetAppliesItemMask) {
+TEST(EvalUtilTest, MaskedRowsAppliesItemMask) {
   const auto set = MakeSet(0);
   std::vector<uint8_t> mask(8, 0);
   mask[3] = 1;
   mask[7] = 1;
-  const regression::Dataset d = ToDataset(set, &mask);
-  ASSERT_EQ(d.num_examples(), 2u);
-  EXPECT_DOUBLE_EQ(d.y(0), 30.0);
+  std::vector<uint32_t> list;
+  const regression::RowSet rows = MaskedRows(set, &mask, &list);
+  ASSERT_EQ(rows.n, 2u);
+  EXPECT_EQ(rows.rows, list.data());
+  EXPECT_DOUBLE_EQ(rows.ys[rows.row(0)], 30.0);
+  EXPECT_DOUBLE_EQ(rows.ys[rows.row(1)], 70.0);
   // Items beyond the mask size are treated as excluded.
   std::vector<uint8_t> short_mask(2, 1);
-  EXPECT_EQ(ToDataset(set, &short_mask).num_examples(), 1u);  // only item 1
+  EXPECT_EQ(MaskedRows(set, &short_mask, &list).n, 1u);  // only item 1
+}
+
+TEST(EvalUtilTest, RowListsKeepRowOrderPerList) {
+  RowLists lists;
+  const std::vector<size_t> list_of_row = {2, 0, 2, 1, 2, 0};
+  lists.Build(4, [&](auto&& emit) {
+    for (size_t row = 0; row < list_of_row.size(); ++row) {
+      emit(list_of_row[row], row);
+      if (row % 2 == 0) emit(3, row);  // a row may be in several lists
+    }
+  });
+  ASSERT_EQ(lists.num_lists(), 4u);
+  const auto list = [&](size_t k) {
+    return std::vector<uint32_t>(lists.rows(k), lists.rows(k) + lists.size(k));
+  };
+  EXPECT_EQ(list(0), (std::vector<uint32_t>{1, 5}));
+  EXPECT_EQ(list(1), (std::vector<uint32_t>{3}));
+  EXPECT_EQ(list(2), (std::vector<uint32_t>{0, 2, 4}));
+  EXPECT_EQ(list(3), (std::vector<uint32_t>{0, 2, 4}));
+  lists.Build(2, [](auto&&) {});  // rebuilt empty
+  EXPECT_EQ(lists.size(0) + lists.size(1), 0u);
 }
 
 TEST(EvalUtilTest, RegionFeatureLookupFindsEachItemsRow) {

@@ -1,12 +1,13 @@
 // Randomized property tests pinning the optimized kernels of the SIMD/
 // cache-conscious pass to retained reference implementations:
 //
-//  * RegressionSuffStats packed Add / batched AddBatch vs a naive full-
-//    matrix reference. The packed kernels keep the per-element left-to-
-//    right summation order of the scalar path, but the compiler is free to
-//    contract a*b+c into FMA differently per loop (-ffp-contract), so the
-//    comparison uses a small documented relative bound rather than bit
-//    equality.
+//  * RegressionSuffStats packed Add vs a naive full-matrix reference,
+//    within a small documented relative bound.
+//  * The row-list kernel AddRows (its scalar loop, its AVX-512 kernel
+//    called directly, and AddBatch over it) vs one Add() per listed row:
+//    bit for bit on every accumulator, including ±0, subnormal, infinite
+//    and NaN inputs. The build pins -ffp-contract=off, so no path fuses a
+//    multiply-add the others round twice.
 //  * Merge and the flat NumericAgg MergeSlice run: pure same-order
 //    additions, compared exactly.
 //  * FromComponents / xtwx() unpack-pack round trips: exact.
@@ -14,7 +15,8 @@
 //    replaced: same folds, same RNG consumption, same skipped folds, and
 //    error values within a relative 1e-9 (the two sum the same examples in
 //    a different order, and the held-out SSE is a quadratic form instead of
-//    a sum of squared residuals).
+//    a sum of squared residuals); and its row-list form vs the Dataset
+//    form over the same rows, bit for bit.
 //
 // Determinism of *one binary* across thread counts and checkpoint resume is
 // covered by parallel_determinism_test and robust_test; these tests pin the
@@ -22,7 +24,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
@@ -140,7 +145,6 @@ TEST_P(SuffStatsEquivalenceTest, PackedAddMatchesReference) {
 TEST_P(SuffStatsEquivalenceTest, AddBatchMatchesSequentialAdds) {
   const size_t p = GetParam();
   Rng rng(200 + p);
-  // Deliberately not a multiple of 4: exercises the blocked body + tail.
   const size_t n = 123;
   const auto rows = RandomRows(rng, n, p);
   std::vector<double> ys(n), ws(n);
@@ -156,18 +160,12 @@ TEST_P(SuffStatsEquivalenceTest, AddBatchMatchesSequentialAdds) {
     sequential.Add(rows.data() + i * p, ys[i], ws[i]);
   }
 
+  // Exact: the same products and sums in the same order, no contraction.
   EXPECT_EQ(batched.num_examples(), sequential.num_examples());
-  ExpectClose(batched.sum_weights(), sequential.sum_weights(), "sum_w");
-  ExpectClose(batched.ytwy(), sequential.ytwy(), "ytwy");
-  for (size_t j = 0; j < p; ++j) {
-    ExpectClose(batched.xtwy()[j], sequential.xtwy()[j], "xtwy");
-  }
-  const auto& bp = batched.packed_xtwx();
-  const auto& sp = sequential.packed_xtwx();
-  ASSERT_EQ(bp.size(), sp.size());
-  for (size_t i = 0; i < bp.size(); ++i) {
-    ExpectClose(bp[i], sp[i], "packed xtwx");
-  }
+  EXPECT_EQ(batched.sum_weights(), sequential.sum_weights());
+  EXPECT_EQ(batched.ytwy(), sequential.ytwy());
+  EXPECT_EQ(batched.xtwy(), sequential.xtwy());
+  EXPECT_EQ(batched.packed_xtwx(), sequential.packed_xtwx());
 
   // Null weights == all-ones weights, bit-exact.
   RegressionSuffStats ols_null(p), ols_ones(p);
@@ -246,6 +244,193 @@ TEST_P(SuffStatsEquivalenceTest, PackedIndexMatchesUnpackedLayout) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SuffStatsEquivalenceTest,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 9, 13, 24));
+
+// ---- Row-list kernel ----
+
+// Same double: bit for bit, except that any NaN matches any NaN (payloads
+// may differ with operand order).
+::testing::AssertionResult SameDouble(double got, double want) {
+  if (std::isnan(want) ? std::isnan(got)
+                       : std::bit_cast<uint64_t>(got) ==
+                             std::bit_cast<uint64_t>(want)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << got << " vs " << want;
+}
+
+void ExpectSameStats(const RegressionSuffStats& got,
+                     const RegressionSuffStats& want, const std::string& what) {
+  ASSERT_EQ(got.num_features(), want.num_features()) << what;
+  EXPECT_EQ(got.num_examples(), want.num_examples()) << what;
+  EXPECT_TRUE(SameDouble(got.sum_weights(), want.sum_weights()))
+      << what << " sum_w";
+  EXPECT_TRUE(SameDouble(got.ytwy(), want.ytwy())) << what << " ytwy";
+  for (size_t j = 0; j < want.num_features(); ++j) {
+    EXPECT_TRUE(SameDouble(got.xtwy()[j], want.xtwy()[j]))
+        << what << " xtwy[" << j << "]";
+  }
+  for (size_t i = 0; i < want.packed_xtwx().size(); ++i) {
+    EXPECT_TRUE(SameDouble(got.packed_xtwx()[i], want.packed_xtwx()[i]))
+        << what << " packed xtwx[" << i << "]";
+  }
+}
+
+// A row-major set of `rows` rows: random values, or with `special` about a
+// third of the values drawn from ±0, subnormals, ±inf, NaN and huge values.
+// Weights (when `weighted`) are positive, some subnormal or huge.
+struct RowData {
+  std::vector<double> xs, ys, ws;
+};
+
+RowData MakeRowData(Rng& rng, size_t rows, size_t p, bool weighted,
+                    bool special) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             1e-310,
+                             kInf,
+                             -kInf,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             1e300,
+                             -1e300};
+  const auto value = [&](double lo, double hi) {
+    if (special && rng.NextUint64(3) == 0) {
+      return specials[rng.NextUint64(std::size(specials))];
+    }
+    return rng.NextDouble(lo, hi);
+  };
+  RowData d;
+  d.xs.resize(rows * p);
+  d.ys.resize(rows);
+  for (auto& v : d.xs) v = value(-10, 10);
+  for (auto& v : d.ys) v = value(-5, 5);
+  if (weighted) {
+    const double weights[] = {std::numeric_limits<double>::denorm_min(), 1e300,
+                              1.0};
+    d.ws.resize(rows);
+    for (auto& w : d.ws) {
+      w = special && rng.NextUint64(4) == 0
+              ? weights[rng.NextUint64(std::size(weights))]
+              : rng.NextDouble(0.1, 2.0);
+    }
+  }
+  return d;
+}
+
+// The row lists AddRows must take, over a set of `rows` rows: all rows
+// (null list), ascending with gaps, unsorted, and with repeats.
+std::vector<std::pair<std::string, std::vector<uint32_t>>> RowListCases(
+    Rng& rng, size_t n, size_t rows) {
+  std::vector<std::pair<std::string, std::vector<uint32_t>>> out;
+  std::vector<uint32_t> gaps;  // every other row, then a few skipped
+  for (uint32_t r = 0; gaps.size() < n; r += 2 + (r % 7 == 0 ? 3 : 0)) {
+    gaps.push_back(r % static_cast<uint32_t>(rows));
+  }
+  std::sort(gaps.begin(), gaps.end());
+  out.emplace_back("ascending with gaps", gaps);
+  std::vector<uint32_t> unsorted(n);
+  for (auto& r : unsorted) r = static_cast<uint32_t>(rng.NextUint64(rows));
+  out.emplace_back("unsorted with repeats", unsorted);
+  std::vector<uint32_t> repeats;
+  for (size_t i = 0; i < n; ++i) {
+    repeats.push_back(static_cast<uint32_t>((i / 3) % rows));
+  }
+  out.emplace_back("runs of repeats", repeats);
+  return out;
+}
+
+enum class AddRowsPath { kDispatch, kScalar, kAvx512, kBatch };
+
+void AddRowsVia(AddRowsPath path, RegressionSuffStats* s, const RowData& d,
+                const uint32_t* rows, size_t n) {
+  const double* ws = d.ws.empty() ? nullptr : d.ws.data();
+  switch (path) {
+    case AddRowsPath::kDispatch:
+      s->AddRows(d.xs.data(), d.ys.data(), ws, rows, n);
+      break;
+    case AddRowsPath::kScalar:
+      regression::detail::AddRowsScalar(s, d.xs.data(), d.ys.data(), ws, rows,
+                                        n);
+      break;
+    case AddRowsPath::kAvx512:
+      regression::detail::AddRowsAvx512(s, d.xs.data(), d.ys.data(), ws, rows,
+                                        n);
+      break;
+    case AddRowsPath::kBatch:
+      ASSERT_EQ(rows, nullptr);
+      s->AddBatch(d.xs.data(), d.ys.data(), ws, n);
+      break;
+  }
+}
+
+// Every list case, size, weighting and value mix: `path` onto a statistic
+// that already holds a few rows must equal one Add() per listed row.
+void ExpectPathMatchesSequentialAdds(AddRowsPath path, size_t p) {
+  for (const size_t n : {0, 1, 2, 3, 7, 8, 9, 4000}) {
+    for (const bool weighted : {false, true}) {
+      for (const bool special : {false, true}) {
+        Rng rng(1000 * p + n + (weighted ? 7 : 0) + (special ? 13 : 0));
+        const size_t rows = n + 5;
+        const RowData d = MakeRowData(rng, rows, p, weighted, special);
+        auto cases = RowListCases(rng, n, rows);
+        cases.emplace_back("all rows", std::vector<uint32_t>());
+        for (const auto& [name, list] : cases) {
+          if (path == AddRowsPath::kBatch && name != "all rows") continue;
+          const uint32_t* listed = name == "all rows" ? nullptr : list.data();
+          RegressionSuffStats want(p);
+          for (size_t r = rows - 3; r < rows; ++r) {  // a non-empty start
+            want.Add(d.xs.data() + r * p, d.ys[r], weighted ? d.ws[r] : 1.0);
+          }
+          RegressionSuffStats got = want;
+          for (size_t i = 0; i < n; ++i) {
+            const size_t r = listed == nullptr ? i : listed[i];
+            want.Add(d.xs.data() + r * p, d.ys[r], weighted ? d.ws[r] : 1.0);
+          }
+          AddRowsVia(path, &got, d, listed, n);
+          ExpectSameStats(got, want,
+                          "p=" + std::to_string(p) + " n=" +
+                              std::to_string(n) + " " + name +
+                              (weighted ? " weighted" : " unweighted") +
+                              (special ? " special values" : ""));
+        }
+      }
+    }
+  }
+}
+
+class AddRowsTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(AddRowsTest, AddRowsMatchesSequentialAdds) {
+  ExpectPathMatchesSequentialAdds(AddRowsPath::kDispatch, GetParam());
+}
+
+TEST_P(AddRowsTest, ScalarLoopMatchesSequentialAdds) {
+  ExpectPathMatchesSequentialAdds(AddRowsPath::kScalar, GetParam());
+}
+
+TEST_P(AddRowsTest, AddBatchMatchesSequentialAddsOnSpecialValues) {
+  ExpectPathMatchesSequentialAdds(AddRowsPath::kBatch, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Arities, AddRowsTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 12));
+
+// The vector kernel called directly, at every arity it takes.
+class AddRowsAvx512Test : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(AddRowsAvx512Test, KernelMatchesSequentialAdds) {
+  if (!regression::detail::AddRowsHasAvx512()) {
+    GTEST_SKIP() << "this CPU has no AVX-512F, so AddRows runs its scalar "
+                    "loop and the vector kernel cannot run";
+  }
+  ExpectPathMatchesSequentialAdds(AddRowsPath::kAvx512, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Arities, AddRowsAvx512Test,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
+static_assert(regression::detail::kAddRowsVectorMaxFeatures == 6);
 
 // ---- Flat CUBE rollup ----
 
@@ -579,6 +764,56 @@ TEST_P(CrossValidationOracleTest, MatchesCopyAndRefitOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Arities, CrossValidationOracleTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 12));
+
+// The row-list CV over the listed rows of a larger set (every row, or the
+// rows an item mask keeps) against the Dataset CV over a copy of those
+// rows: same status, fold count and RNG position, and the same rmse and
+// stddev bit for bit.
+TEST_P(CrossValidationOracleTest, RowListMatchesDatasetForm) {
+  const size_t p = GetParam();
+  for (const int32_t k : {2, 10}) {
+    for (const size_t n : {size_t{1}, size_t{2}, size_t{11}, size_t{1200}}) {
+      for (const bool weighted : {false, true}) {
+        for (const bool masked : {false, true}) {
+          const uint64_t seed = 7000 * p + 100 * k + n + (weighted ? 7 : 0) +
+                                (masked ? 3 : 0);
+          Rng data_rng(seed);
+          const Dataset all = RandomDataset(data_rng, n, p, weighted);
+          // Items 0..9 of a region's rows; the mask keeps items 2..6.
+          std::vector<uint32_t> list;
+          std::vector<size_t> kept;
+          for (size_t r = 0; r < n; ++r) {
+            const size_t item = (r * 7) % 10;
+            if (masked && (item < 2 || item > 6)) continue;
+            list.push_back(static_cast<uint32_t>(r));
+            kept.push_back(r);
+          }
+          regression::RowSet rows = all.rows();
+          if (masked) {
+            rows.rows = list.data();
+            rows.n = list.size();
+          }
+          const Dataset copy = RefGather(all, kept);
+          Rng rng_list(seed), rng_copy(seed);
+          const auto got = regression::CrossValidationError(rows, k, &rng_list);
+          const auto want =
+              regression::CrossValidationError(copy, k, &rng_copy);
+          const std::string what =
+              "p=" + std::to_string(p) + " k=" + std::to_string(k) +
+              " n=" + std::to_string(n) + (weighted ? " weighted" : "") +
+              (masked ? " masked" : "");
+          ASSERT_EQ(got.status().code(), want.status().code()) << what;
+          EXPECT_EQ(rng_list.NextUint64(), rng_copy.NextUint64()) << what;
+          if (!want.ok()) continue;
+          EXPECT_EQ(got->num_folds, want->num_folds) << what;
+          EXPECT_TRUE(SameDouble(got->rmse, want->rmse)) << what << " rmse";
+          EXPECT_TRUE(SameDouble(got->stddev, want->stddev))
+              << what << " stddev";
+        }
+      }
+    }
+  }
+}
 
 TEST(CrossValidationOracleEdgeTest, RejectsTooFewFoldsLikeOracle) {
   Rng data_rng(5);

@@ -91,12 +91,15 @@ TEST(ProfileTest, AddStackFoldsAndMergeSums) {
   b.AddStack("p;f;g", 1);
   b.AddStack("q;h", 4);
   b.add_dropped_samples(2);
+  a.set_cpu_us(5000);
+  b.set_cpu_us(7000);
   a.Merge(b);
   EXPECT_EQ(a.total_samples(), 11);
   EXPECT_EQ(a.stacks().at("p;f;g"), 6);
   EXPECT_EQ(a.stacks().at("q;h"), 4);
   EXPECT_EQ(a.dropped_samples(), 2);
   EXPECT_EQ(a.period_us(), 1000);
+  EXPECT_EQ(a.cpu_us(), 12000);
 }
 
 TEST(ProfileTest, CollapsedRoundTripIsLossless) {
@@ -104,6 +107,7 @@ TEST(ProfileTest, CollapsedRoundTripIsLossless) {
   p.AddStack("phase-a;func1;func2", 7);
   p.AddStack("phase-b;func3", 11);
   p.set_period_us(500);
+  p.set_cpu_us(123456);
   p.add_dropped_samples(3);
 
   const std::string text = p.ToCollapsed();
@@ -113,6 +117,7 @@ TEST(ProfileTest, CollapsedRoundTripIsLossless) {
   EXPECT_EQ(parsed->total_samples(), p.total_samples());
   EXPECT_EQ(parsed->period_us(), 500);
   EXPECT_EQ(parsed->dropped_samples(), 3);
+  EXPECT_EQ(parsed->cpu_us(), 123456);
   // Re-emitting the parse is byte-identical (stable sorted stacks).
   EXPECT_EQ(parsed->ToCollapsed(), text);
 }
@@ -123,6 +128,7 @@ TEST(ProfileTest, FromCollapsedSkipsUnknownHeadersAndRejectsGarbage) {
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->period_us(), 250);
   EXPECT_EQ(ok->total_samples(), 4);
+  EXPECT_EQ(ok->cpu_us(), 0);  // not recorded in the file
 
   EXPECT_FALSE(Profile::FromCollapsed("no-count-line\n").ok());
   EXPECT_FALSE(Profile::FromCollapsed("stack notanumber\n").ok());
@@ -172,6 +178,12 @@ TEST(ProfileTest, SamplesByRootFrameSlicesPerPhase) {
 
 // Burns roughly `seconds` of CPU time so ITIMER_PROF is guaranteed to
 // expire; returns a value the optimizer cannot discard.
+int64_t ProcessCpuMicros() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
+}
+
 double SpinCpu(double seconds) {
   const std::clock_t start = std::clock();
   const auto budget =
@@ -244,6 +256,26 @@ TEST(ProfilerTest, CapturesSamplesTaggedWithTheEnclosingSpan) {
   EXPECT_FALSE(profile->ToCollapsed().empty());
 }
 
+// The kernel checks ITIMER_PROF only at scheduler ticks, so a 500 us period
+// yields about one sample per tick, and samples * period would report a
+// fraction of the CPU spent. The profile carries the armed window's CPU
+// time itself.
+TEST(ProfilerTest, RecordsTheArmedWindowsCpuTime) {
+  Profiler& profiler = Profiler::Default();
+  ProfilerOptions options;
+  options.period_us = 500;
+  ASSERT_TRUE(profiler.Start(options).ok());
+  // The armed window only: Stop's own draining and symbolizing come after
+  // the profile's clock stops.
+  const int64_t start = ProcessCpuMicros();
+  while (ProcessCpuMicros() - start < 200000) SpinCpu(0.01);
+  const int64_t spent = ProcessCpuMicros() - start;
+  auto profile = profiler.Stop();
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  EXPECT_GE(profile->cpu_us(), 0.8 * static_cast<double>(spent));
+  EXPECT_LE(profile->cpu_us(), 1.2 * static_cast<double>(spent));
+}
+
 // ---------------------------------------------------------------------------
 // Heap tracker
 // ---------------------------------------------------------------------------
@@ -296,12 +328,6 @@ datagen::SimulationDataset MakeSim(uint64_t seed) {
   config.location_fanouts = {2, 2};
   config.seed = seed;
   return datagen::GenerateSimulation(config);
-}
-
-int64_t ProcessCpuMicros() {
-  timespec ts;
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
 }
 
 TEST(ProfilerDeterminismTest, BuildersBitIdenticalAcrossThreadsWhileArmed) {

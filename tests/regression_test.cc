@@ -187,7 +187,7 @@ TEST(ErrorTest, ConfidenceBounds) {
 
 TEST(ErrorTest, TrainingErrorApproximatesNoiseLevel) {
   Dataset d = MakeNoisyLinear(2000, 2.0, 13);
-  auto err = TrainingSetError(d);
+  auto err = TrainingSetError(d.rows());
   ASSERT_TRUE(err.ok());
   EXPECT_NEAR(err->rmse, 2.0, 0.15);
 }
@@ -208,7 +208,7 @@ TEST(ErrorTest, TrainingAndCvAgreeForLinearModels) {
   Dataset d = MakeNoisyLinear(800, 1.5, 23);
   Rng rng(2);
   auto cv = CrossValidationError(d, 10, &rng);
-  auto tr = TrainingSetError(d);
+  auto tr = TrainingSetError(d.rows());
   ASSERT_TRUE(cv.ok());
   ASSERT_TRUE(tr.ok());
   EXPECT_NEAR(cv->rmse, tr->rmse, 0.1 * tr->rmse);

@@ -55,7 +55,13 @@ double Pct(int64_t part, int64_t whole) {
 void PrintHeader(const char* path, const Profile& profile) {
   std::printf("%s: %lld samples", path,
               static_cast<long long>(profile.total_samples()));
-  if (profile.period_us() > 0) {
+  if (profile.cpu_us() > 0) {
+    std::printf(", %lldus period, %.2fs CPU",
+                static_cast<long long>(profile.period_us()),
+                static_cast<double>(profile.cpu_us()) * 1e-6);
+  } else if (profile.period_us() > 0) {
+    // A file without the recorded CPU time: samples * period, which
+    // undercounts when the period is below the kernel's tick.
     std::printf(", %lldus period (~%.2fs CPU)",
                 static_cast<long long>(profile.period_us()),
                 static_cast<double>(profile.total_samples()) *
