@@ -126,8 +126,7 @@ class ChecksummedReader {
 Status CheckMagicLine(std::istream& in, std::string_view magic,
                       const std::string& path);
 
-/// Binary artifact framing shared by the state file and the cube
-/// checkpoint:
+/// Binary artifact framing of the bellwether state file:
 ///
 ///   <magic>\n                text line, outside the checksum
 ///   body                     raw little-endian fields (write_body)

@@ -8,8 +8,8 @@
 
 #include "common/check.h"
 #include "common/random.h"
-#include "core/bellwether_state.h"
 #include "core/cube_build_internal.h"
+#include "exec/parallel.h"
 #include "obs/logger.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -108,6 +108,39 @@ bool ItemMasked(const std::vector<uint8_t>* item_mask, int32_t item) {
   return item_mask != nullptr &&
          (static_cast<size_t>(item) >= item_mask->size() ||
           (*item_mask)[item] == 0);
+}
+
+std::vector<std::vector<int32_t>> ContainingSignificant(
+    const ItemSubsetSpace& subsets, const std::vector<SubsetId>& significant,
+    const std::vector<uint8_t>* item_mask) {
+  // Dense SubsetId -> significant index (or -1).
+  std::vector<int64_t> sig_index(subsets.NumSubsets(), -1);
+  for (size_t k = 0; k < significant.size(); ++k) {
+    sig_index[significant[k]] = static_cast<int64_t>(k);
+  }
+  std::vector<std::vector<int32_t>> containing(subsets.num_items());
+  for (int32_t i = 0; i < subsets.num_items(); ++i) {
+    if (ItemMasked(item_mask, i)) continue;
+    for (SubsetId s : subsets.ContainingSubsets(i)) {
+      if (sig_index[s] >= 0) {
+        containing[i].push_back(static_cast<int32_t>(sig_index[s]));
+      }
+    }
+  }
+  return containing;
+}
+
+void FoldRows(const RegionTrainingSet& set,
+              const std::vector<std::vector<int32_t>>& containing,
+              RowLists* lists, std::vector<RegressionSuffStats>* stats) {
+  lists->Build(stats->size(), [&](auto&& emit) {
+    for (size_t row = 0; row < set.num_examples(); ++row) {
+      for (int32_t k : containing[set.items[row]]) {
+        emit(static_cast<size_t>(k), row);
+      }
+    }
+  });
+  AddListedRows(set, *lists, stats->data());
 }
 
 RegionRowsVisitor SourceRowsVisitor(storage::TrainingDataSource* source) {
@@ -233,9 +266,8 @@ Result<BellwetherCube> AssembleCube(
                       std::move(cells));
   cube.set_build_telemetry(telemetry);
   // Flight-recorder document. Config deliberately omits
-  // config.exec.num_threads and the checkpoint path: logical sections (and
-  // the fingerprint) must match serial/parallel and resumed/uninterrupted
-  // builds of the same cube.
+  // config.exec.num_threads: logical sections (and the fingerprint) must
+  // match serial and parallel builds of the same cube.
   obs::RunReport report{std::string(builder_name)};
   report.SetConfig("cube.min_subset_size",
                    static_cast<int64_t>(config.min_subset_size));
@@ -251,8 +283,6 @@ Result<BellwetherCube> AssembleCube(
   report.SetCount("cube.ridge_refits", telemetry.ridge_refits);
   report.SetCount("cube.mean_fallbacks", telemetry.mean_fallbacks);
   report.SetCount("cube.fallback_picks", telemetry.fallback_picks);
-  report.SetCount("cube.checkpoints_saved", telemetry.checkpoints_saved);
-  report.SetCount("cube.resumed_regions", telemetry.resumed_regions);
   report.AddPhase("cube.build", telemetry.build_seconds);
   cube.set_build_report(std::move(report));
   return cube;
@@ -263,8 +293,8 @@ Result<BellwetherCube> AssembleCube(
 namespace {
 
 // Converts per-subset picks into the final cube: the cell-derivation and
-// assembly phases back-to-back, for the one-shot builders that still hold
-// their picks in a local vector.
+// assembly phases back-to-back, for the builders that hold their picks in a
+// local vector. The CV post-pass reads rows back from `source`.
 Result<BellwetherCube> FinalizeCube(
     std::string_view builder_name, storage::TrainingDataSource* source,
     std::shared_ptr<const ItemSubsetSpace> subsets,
@@ -535,21 +565,78 @@ Result<BellwetherCube> BuildBellwetherCubeSingleScan(
     std::shared_ptr<const ItemSubsetSpace> subsets,
     const CubeBuildConfig& config, const std::vector<uint8_t>* item_mask) {
   obs::TraceSpan span("BuildBellwetherCubeSingleScan", "cube");
-  // Re-expressed over the algebraic state core: Init captures the subset
-  // lattice, IngestScan performs the historical single scan (with its
-  // checkpoint/resume and parallel merge machinery), Finalize derives the
-  // cells. Artifacts are bit-identical to the pre-refactor builder.
-  BellwetherState::Options options;
-  options.config = config;
-  options.incremental = false;
-  options.report_name = "cube_single_scan";
-  BW_ASSIGN_OR_RETURN(
-      std::unique_ptr<BellwetherState> state,
-      BellwetherState::Init(std::move(subsets), std::move(options),
-                            item_mask));
-  BW_RETURN_IF_ERROR(state->IngestScan(source));
+  if (subsets == nullptr) {
+    return Status::InvalidArgument("null item subset space");
+  }
+  Stopwatch build_watch;
+  CubeBuildTelemetry telemetry;
+  const std::vector<int32_t> sizes =
+      internal::SubsetSizes(*subsets, item_mask);
+  const std::vector<SubsetId> significant =
+      internal::SignificantSubsets(sizes, config.min_subset_size);
+  const std::vector<std::vector<int32_t>> containing =
+      internal::ContainingSignificant(*subsets, significant, item_mask);
+  std::vector<internal::Pick> picks(significant.size());
+
+  // Each region's per-subset <MinError, Size> accumulators are computed by
+  // one task (inline without a pool) and offered to the picks in scan order:
+  // the same Offer() sequence for every thread count, so cube cells are
+  // bit-identical. The buffers outlive the pool, whose destructor drains any
+  // task still queued when the scan fails.
+  struct RegionCubeStats {
+    olap::RegionId region = olap::kInvalidRegion;
+    std::vector<RegressionSuffStats> stats;  // per significant subset
+    std::vector<double> error;
+    RowLists lists;  // per significant subset
+  };
+  const auto compute = [&significant, &containing, &config](
+                           const RegionTrainingSet& set, RegionCubeStats* r) {
+    r->region = set.region;
+    if (r->stats.empty() ||
+        r->stats[0].num_features() != static_cast<size_t>(set.num_features)) {
+      r->stats.assign(significant.size(),
+                      RegressionSuffStats(set.num_features));
+      r->error.resize(significant.size());
+    } else {
+      for (RegressionSuffStats& s : r->stats) s.Reset();
+    }
+    internal::FoldRows(set, containing, &r->lists, &r->stats);
+    for (size_t k = 0; k < significant.size(); ++k) {
+      r->error[k] =
+          TrainingErrorOfStats(r->stats[k], config.min_examples_per_model);
+    }
+    return r;
+  };
+  exec::FreeList<RegionCubeStats> buffers;
+  const int32_t num_threads = exec::ResolveNumThreads(config.exec.num_threads);
+  std::unique_ptr<exec::ThreadPool> pool;
+  if (num_threads > 1) pool = std::make_unique<exec::ThreadPool>(num_threads);
+  exec::MergeInSubmissionOrder<RegionCubeStats*> reducer(
+      pool.get(), /*max_outstanding=*/2 * static_cast<size_t>(num_threads),
+      "cube.scan_merge", [&](size_t, RegionCubeStats* r) -> Status {
+        for (size_t k = 0; k < significant.size(); ++k) {
+          picks[k].Offer(r->error[k], r->region, r->stats[k]);
+        }
+        buffers.Release(r);
+        return Status::OK();
+      });
+  BW_RETURN_IF_ERROR(
+      source->Scan([&](const RegionTrainingSet& set) -> Status {
+        RegionCubeStats* r = buffers.Acquire();
+        if (reducer.parallel()) {
+          // The visited set is only valid during this callback; the task
+          // owns a copy.
+          return reducer.Submit(
+              [compute, r, copy = set]() { return compute(copy, r); });
+        }
+        return reducer.Submit([&]() { return compute(set, r); });
+      }));
+  BW_RETURN_IF_ERROR(reducer.Finish());
+  telemetry.data_passes = 1;
   Metrics().single_scan_passes->Increment(1);
-  return state->Finalize();
+  return FinalizeCube("cube_single_scan", source, std::move(subsets), config,
+                      item_mask, sizes, significant, std::move(picks),
+                      telemetry, build_watch);
 }
 
 Result<BellwetherCube> BuildBellwetherCubeOptimized(

@@ -128,20 +128,11 @@ struct CubeBuildConfig {
   bool compute_cv_stats = true;
   int32_t cv_folds = 10;
   uint64_t seed = 17;
-  /// Checkpoint/resume of long builds (single-scan builder only). When
-  /// non-empty, the builder writes its per-subset pick state to this path
-  /// every `checkpoint_every` regions, and on startup resumes from a
-  /// checkpoint whose build fingerprint matches — producing output
-  /// bit-identical to an uninterrupted build.
-  std::string checkpoint_path;
-  int32_t checkpoint_every = 1;
-  /// Parallel region scoring (single-scan builder only; the naive and
-  /// optimized builders are reference implementations and stay serial).
-  /// Per-region <MinError, Size> accumulators are computed on workers and
-  /// merged in scan order, so the cube — and every checkpoint written along
-  /// the way — is bit-identical to the serial build for every thread count.
-  /// Checkpoint fingerprints do not cover the thread count, so a build may
-  /// resume a checkpoint written with a different one.
+  /// Parallel region scoring (the single-scan builder and
+  /// BellwetherState::ApplyDelta; the naive and optimized builders are
+  /// reference implementations and stay serial). Per-region statistics are
+  /// computed on workers and merged in scan order, so the cube is
+  /// bit-identical to the serial build for every thread count.
   exec::BellwetherExecOptions exec;
 };
 
@@ -175,8 +166,6 @@ struct CubeBuildTelemetry {
   int64_t ridge_refits = 0;       // cell fits recovered by the ridge tier
   int64_t mean_fallbacks = 0;     // cell fits degraded to the mean model
   int64_t fallback_picks = 0;     // cells placed by the most-examples fallback
-  int64_t checkpoints_saved = 0;  // checkpoint writes during the scan
-  int64_t resumed_regions = 0;    // regions skipped thanks to a checkpoint
   double build_seconds = 0.0;
 };
 
@@ -250,7 +239,8 @@ Result<BellwetherCube> BuildBellwetherCubeNaive(
 
 /// Single-scan algorithm (§6.3, Fig. 7): one sequential scan; per region,
 /// builds a model for each significant subset independently. Identical
-/// output to the naive algorithm (Lemma 2).
+/// output to the naive algorithm (Lemma 2). kInvalidArgument when `subsets`
+/// is null.
 Result<BellwetherCube> BuildBellwetherCubeSingleScan(
     storage::TrainingDataSource* source,
     std::shared_ptr<const ItemSubsetSpace> subsets,

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "common/checksummed_io.h"
+#include "common/fingerprint.h"
+#include "common/stopwatch.h"
 #include "core/eval_util.h"
 #include "core/model_io.h"
 #include "core/search_internal.h"
@@ -16,7 +18,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "regression/suff_stats_io.h"
-#include "robust/checkpoint.h"
 #include "robust/fault_injection.h"
 #include "storage/arena.h"
 
@@ -98,29 +99,13 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::Init(
   state->sizes_ = internal::SubsetSizes(space, mask);
   state->significant_ =
       internal::SignificantSubsets(state->sizes_, config.min_subset_size);
-  // Dense SubsetId -> significant index (or -1).
-  state->sig_index_.assign(space.NumSubsets(), -1);
-  for (size_t k = 0; k < state->significant_.size(); ++k) {
-    state->sig_index_[state->significant_[k]] = static_cast<int64_t>(k);
-  }
-  // Per item: the significant subsets containing it, ascending (the
-  // containing subsets are, and significant_ is).
-  state->containing_.resize(space.num_items());
-  for (int32_t i = 0; i < space.num_items(); ++i) {
-    if (internal::ItemMasked(mask, i)) continue;
-    for (SubsetId s : space.ContainingSubsets(i)) {
-      if (state->sig_index_[s] >= 0) {
-        state->containing_[i].push_back(
-            static_cast<int32_t>(state->sig_index_[s]));
-      }
-    }
-  }
+  state->containing_ =
+      internal::ContainingSignificant(space, state->significant_, mask);
   state->dirty_.Resize(space.NumSubsets());
   state->cell_cache_.resize(state->significant_.size());
-  // State identity: everything the derived skeleton depends on. Distinct
-  // from the scan checkpoint fingerprint inside IngestScan, which also
-  // covers the source shape (its historical formula, kept bit-compatible).
-  robust::FingerprintBuilder fp;
+  // State identity: everything the derived skeleton depends on. Stored in
+  // every state file, so the formula must not change.
+  FingerprintBuilder fp;
   fp.Add(static_cast<uint64_t>(space.NumSubsets()))
       .Add(static_cast<uint64_t>(config.min_subset_size))
       .Add(static_cast<uint64_t>(config.min_examples_per_model))
@@ -141,172 +126,6 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::Init(
   return state;
 }
 
-Status BellwetherState::IngestScan(storage::TrainingDataSource* source) {
-  if (options_.incremental) {
-    return Status::FailedPrecondition(
-        "IngestScan is the one-shot path; incremental states take ApplyDelta");
-  }
-  if (scanned_) {
-    return Status::FailedPrecondition("IngestScan already performed");
-  }
-  const CubeBuildConfig& config = options_.config;
-  picks_.assign(significant_.size(), internal::Pick{});
-
-  // ---- Checkpoint/resume (docs/ROBUSTNESS.md) ----
-  // The build fingerprint ties a checkpoint to this exact build: subset
-  // space, significant-subset list, pick-relevant config, and source shape.
-  uint64_t fingerprint = 0;
-  int64_t resume_from = 0;
-  const bool checkpointing = !config.checkpoint_path.empty();
-  if (checkpointing) {
-    robust::FingerprintBuilder fp;
-    fp.Add(static_cast<uint64_t>(subsets_->NumSubsets()))
-        .Add(static_cast<uint64_t>(source->num_region_sets()))
-        .Add(static_cast<uint64_t>(config.min_subset_size))
-        .Add(static_cast<uint64_t>(config.min_examples_per_model));
-    for (SubsetId sid : significant_) fp.Add(static_cast<uint64_t>(sid));
-    fingerprint = fp.value();
-    auto ckpt = robust::LoadCubeCheckpoint(config.checkpoint_path);
-    if (ckpt.ok() && ckpt.value().fingerprint == fingerprint &&
-        ckpt.value().picks.size() == significant_.size()) {
-      for (size_t k = 0; k < picks_.size(); ++k) {
-        robust::PickCheckpoint& pk = ckpt.value().picks[k];
-        picks_[k].error = pk.error;
-        picks_[k].region = pk.region;
-        picks_[k].stats = std::move(pk.stats);
-        picks_[k].fallback_region = pk.fallback_region;
-        picks_[k].fallback_examples = pk.fallback_examples;
-        picks_[k].fallback_stats = std::move(pk.fallback_stats);
-      }
-      resume_from = ckpt.value().regions_processed;
-      telemetry_.resumed_regions = resume_from;
-      obs::DefaultMetrics()
-          .GetCounter(obs::kMCubeCheckpointResumes)
-          ->Increment();
-      BW_LOG(obs::LogLevel::kInfo, "cube")
-          << "resuming cube build from checkpoint at region " << resume_from;
-    }
-  }
-  auto save_checkpoint = [&](int64_t regions_processed) -> Status {
-    robust::CubeBuildCheckpoint ckpt;
-    ckpt.fingerprint = fingerprint;
-    ckpt.regions_processed = regions_processed;
-    ckpt.picks.resize(picks_.size());
-    for (size_t k = 0; k < picks_.size(); ++k) {
-      robust::PickCheckpoint& pk = ckpt.picks[k];
-      pk.error = picks_[k].error;
-      pk.region = picks_[k].region;
-      pk.stats = picks_[k].stats;
-      pk.fallback_region = picks_[k].fallback_region;
-      pk.fallback_examples = picks_[k].fallback_examples;
-      pk.fallback_stats = picks_[k].fallback_stats;
-    }
-    BW_RETURN_IF_ERROR(
-        robust::SaveCubeCheckpoint(ckpt, config.checkpoint_path));
-    ++telemetry_.checkpoints_saved;
-    obs::DefaultMetrics()
-        .GetCounter(obs::kMCubeCheckpointsSaved)
-        ->Increment();
-    return Status::OK();
-  };
-
-  int64_t region_pos = 0;
-
-  // Tail work of one merged region: count it, save a checkpoint on the
-  // configured cadence, and honor the injected-crash fault. It runs in
-  // ascending region order on the scan thread, so checkpoint contents and
-  // crash arrival counts are the same for every thread count.
-  auto finish_region = [&]() -> Status {
-    ++region_pos;
-    if (checkpointing &&
-        region_pos % std::max(config.checkpoint_every, 1) == 0) {
-      BW_RETURN_IF_ERROR(save_checkpoint(region_pos));
-    }
-    // Crash injection sits after the checkpoint write, modeling a process
-    // killed between completing a region and starting the next one.
-    if (robust::ShouldCrash(robust::kFaultCubeScan)) {
-      return Status::IoError(
-          "injected crash during cube scan (simulated kill)");
-    }
-    return Status::OK();
-  };
-
-  // Each region's per-subset <MinError, Size> accumulators are computed by
-  // one task (inline without a pool) and offered to the picks in scan order:
-  // the same Offer() sequence for every thread count, so cube cells,
-  // checkpoints and crash points are bit-identical. The buffers outlive the
-  // pool, whose destructor drains any task still queued when the scan fails.
-  struct RegionCubeStats {
-    olap::RegionId region = olap::kInvalidRegion;
-    std::vector<RegressionSuffStats> stats;  // per significant subset
-    std::vector<double> error;
-    RowLists lists;  // per significant subset
-  };
-  const auto compute = [this, &config](const RegionTrainingSet& set,
-                                       RegionCubeStats* r) {
-    r->region = set.region;
-    if (r->stats.empty() ||
-        r->stats[0].num_features() != static_cast<size_t>(set.num_features)) {
-      r->stats.assign(significant_.size(),
-                      RegressionSuffStats(set.num_features));
-      r->error.resize(significant_.size());
-    } else {
-      for (RegressionSuffStats& s : r->stats) s.Reset();
-    }
-    FoldRows(set, &r->lists, &r->stats);
-    for (size_t k = 0; k < significant_.size(); ++k) {
-      r->error[k] =
-          TrainingErrorOfStats(r->stats[k], config.min_examples_per_model);
-    }
-    return r;
-  };
-  exec::FreeList<RegionCubeStats> buffers;
-  const int32_t num_threads = exec::ResolveNumThreads(config.exec.num_threads);
-  std::unique_ptr<exec::ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<exec::ThreadPool>(num_threads);
-  exec::MergeInSubmissionOrder<RegionCubeStats*> reducer(
-      pool.get(), /*max_outstanding=*/2 * static_cast<size_t>(num_threads),
-      "cube.scan_merge", [&](size_t, RegionCubeStats* r) -> Status {
-        for (size_t k = 0; k < significant_.size(); ++k) {
-          picks_[k].Offer(r->error[k], r->region, r->stats[k]);
-        }
-        buffers.Release(r);
-        return finish_region();
-      });
-  int64_t scan_pos = 0;
-  BW_RETURN_IF_ERROR(
-      source->Scan([&](const RegionTrainingSet& set) -> Status {
-        if (scan_pos < resume_from) {
-          // Fast-forward past regions a resumed checkpoint already accounts
-          // for (the physical scan still delivers them). The skip is a
-          // strict prefix of the scan, before anything was submitted, so
-          // the merge-side region counter can be advanced inline.
-          ++scan_pos;
-          ++region_pos;
-          return Status::OK();
-        }
-        ++scan_pos;
-        RegionCubeStats* r = buffers.Acquire();
-        if (reducer.parallel()) {
-          // The visited set is only valid during this callback; the task
-          // owns a copy.
-          return reducer.Submit(
-              [compute, r, copy = set]() { return compute(copy, r); });
-        }
-        return reducer.Submit([&]() { return compute(set, r); });
-      }));
-  BW_RETURN_IF_ERROR(reducer.Finish());
-  if (checkpointing) {
-    // Final state, in case the region count is not a multiple of the
-    // checkpoint interval.
-    BW_RETURN_IF_ERROR(save_checkpoint(region_pos));
-  }
-  telemetry_.data_passes = 1;
-  scan_source_ = source;
-  scanned_ = true;
-  return Status::OK();
-}
-
 BellwetherState::RegionSlot& BellwetherState::SlotFor(olap::RegionId region,
                                                      int32_t num_features) {
   RegionSlot& slot = slots_[region];
@@ -317,18 +136,6 @@ BellwetherState::RegionSlot& BellwetherState::SlotFor(olap::RegionId region,
     slot.rows.num_features = num_features;
   }
   return slot;
-}
-
-void BellwetherState::FoldRows(const RegionTrainingSet& set, RowLists* lists,
-                               std::vector<RegressionSuffStats>* stats) const {
-  lists->Build(significant_.size(), [&](auto&& emit) {
-    for (size_t row = 0; row < set.num_examples(); ++row) {
-      for (int32_t k : containing_[set.items[row]]) {
-        emit(static_cast<size_t>(k), row);
-      }
-    }
-  });
-  AddListedRows(set, *lists, stats->data());
 }
 
 Status BellwetherState::ValidateDeltaBatch(
@@ -374,59 +181,39 @@ Status BellwetherState::ValidateDeltaBatch(
 }
 
 Status BellwetherState::ApplyDelta(std::vector<RegionTrainingSet> batch) {
-  if (!options_.incremental) {
-    return Status::FailedPrecondition(
-        "ApplyDelta requires an incremental BellwetherState");
-  }
-  // Transactional entry fault: fires before anything is mutated, so a
-  // caller can retry the whole batch.
+  // Entry fault: fires before any work, so a caller can retry the batch.
   BW_RETURN_IF_ERROR(robust::MaybeInjectIo(robust::kFaultStateDelta));
   BW_RETURN_IF_ERROR(ValidateDeltaBatch(batch));
   obs::TraceSpan span("BellwetherState::ApplyDelta", "state");
   Stopwatch delta_watch;
-  for (const RegionTrainingSet& set : batch) {
-    if (set.num_examples() > 0 && num_features_ == 0) {
-      num_features_ = set.num_features;
-      break;
-    }
-  }
   const CubeBuildConfig& config = options_.config;
 
   // One task per region: copy the base accumulators of the touched subsets,
   // fold the new rows in row order (the exact floating-point sequence a
   // from-scratch scan of the concatenated rows performs), and compute the
-  // new errors. Commits run in submission order — ascending region — on
-  // this thread, so the state is bit-identical for any thread count.
+  // new errors. Tasks only read the state; the reducer collects their
+  // results in submission order — ascending region — and the batch is
+  // committed after the last one, so a failed batch changes nothing and
+  // the state is bit-identical for any thread count.
   struct RegionDelta {
-    RegionSlot* slot = nullptr;
     RegionTrainingSet set;
     std::vector<int32_t> touched;  // significant indices, ascending
-    std::vector<RegressionSuffStats> stats;
-    std::vector<double> errors;
+    std::vector<RegressionSuffStats> stats;  // parallel to touched
+    std::vector<double> errors;              // parallel to touched
   };
+  std::vector<RegionDelta> deltas;
+  deltas.reserve(batch.size());
   const int32_t num_threads = exec::ResolveNumThreads(config.exec.num_threads);
   std::unique_ptr<exec::ThreadPool> pool;
   if (num_threads > 1) pool = std::make_unique<exec::ThreadPool>(num_threads);
-  int64_t rows_committed = 0;
   Status status;
   {
     exec::MergeInSubmissionOrder<RegionDelta> reducer(
         pool.get(), /*max_outstanding=*/2 * static_cast<size_t>(num_threads),
         "state.delta_merge", [&](size_t, RegionDelta d) -> Status {
-          RegionSlot& slot = *d.slot;
-          for (size_t t = 0; t < d.touched.size(); ++t) {
-            const int32_t k = d.touched[t];
-            slot.stats[k] = std::move(d.stats[k]);
-            slot.errors[k] = d.errors[t];
-            dirty_.Mark(significant_[k]);
-          }
-          rows_committed += static_cast<int64_t>(d.set.num_examples());
-          AppendRows(&slot.rows, d.set);
-          storage::RegionSetArena::Default().Release(std::move(d.set));
-          slot.score_valid = false;
-          // Crash injection after the region's commit, modeling a process
-          // killed between regions of a batch: the in-memory state holds a
-          // partial batch and must be reopened from its last save.
+          deltas.push_back(std::move(d));
+          // Crash injection between regions of a batch, modeling a killed
+          // process: nothing of the batch is committed yet.
           if (robust::ShouldCrash(robust::kFaultStateDelta)) {
             return Status::IoError(
                 "injected crash during delta apply (simulated kill)");
@@ -435,35 +222,35 @@ Status BellwetherState::ApplyDelta(std::vector<RegionTrainingSet> batch) {
         });
     for (RegionTrainingSet& set : batch) {
       if (set.num_examples() == 0) continue;
-      // Slot creation happens here on the submitting thread; map nodes are
-      // stable, and batch regions are distinct, so in-flight tasks for
-      // other regions never observe their slot mutating.
-      RegionSlot* slot = &SlotFor(set.region, set.num_features);
+      // The region's retained statistics, or none for a new region. Slots
+      // are neither created nor changed until the commit below.
+      const auto it = slots_.find(set.region);
+      const RegionSlot* slot = it == slots_.end() ? nullptr : &it->second;
       auto owned = std::make_shared<RegionTrainingSet>(std::move(set));
       status = reducer.Submit([this, &config, slot, owned]() {
         RegionDelta d;
-        d.slot = slot;
         d.set = std::move(*owned);
-        const size_t nsig = significant_.size();
         // The touched subsets start from the slot's statistics (arity 0
         // until first touched) and fold the new rows on top.
-        d.stats.resize(nsig);
+        std::vector<RegressionSuffStats> stats(significant_.size());
         for (int32_t item : d.set.items) {
           for (int32_t k : containing_[item]) {
-            if (d.stats[k].num_features() != 0) continue;
-            d.stats[k] = slot->stats[k].num_features() != 0
-                             ? slot->stats[k]
-                             : RegressionSuffStats(d.set.num_features);
+            if (stats[k].num_features() != 0) continue;
+            stats[k] = slot != nullptr && slot->stats[k].num_features() != 0
+                           ? slot->stats[k]
+                           : RegressionSuffStats(d.set.num_features);
             d.touched.push_back(k);
           }
         }
         std::sort(d.touched.begin(), d.touched.end());
         RowLists lists;
-        FoldRows(d.set, &lists, &d.stats);
+        internal::FoldRows(d.set, containing_, &lists, &stats);
+        d.stats.reserve(d.touched.size());
         d.errors.reserve(d.touched.size());
         for (int32_t k : d.touched) {
           d.errors.push_back(
-              TrainingErrorOfStats(d.stats[k], config.min_examples_per_model));
+              TrainingErrorOfStats(stats[k], config.min_examples_per_model));
+          d.stats.push_back(std::move(stats[k]));
         }
         return d;
       });
@@ -472,6 +259,25 @@ Status BellwetherState::ApplyDelta(std::vector<RegionTrainingSet> batch) {
     if (status.ok()) status = reducer.Finish();
   }
   BW_RETURN_IF_ERROR(status);
+
+  // Commit, in ascending region order.
+  if (num_features_ == 0 && !deltas.empty()) {
+    num_features_ = deltas.front().set.num_features;
+  }
+  int64_t rows_committed = 0;
+  for (RegionDelta& d : deltas) {
+    RegionSlot& slot = SlotFor(d.set.region, d.set.num_features);
+    for (size_t t = 0; t < d.touched.size(); ++t) {
+      const int32_t k = d.touched[t];
+      slot.stats[k] = std::move(d.stats[t]);
+      slot.errors[k] = d.errors[t];
+      dirty_.Mark(significant_[k]);
+    }
+    rows_committed += static_cast<int64_t>(d.set.num_examples());
+    AppendRows(&slot.rows, d.set);
+    storage::RegionSetArena::Default().Release(std::move(d.set));
+    slot.score_valid = false;
+  }
   ++delta_batches_;
   delta_seconds_ += delta_watch.ElapsedSeconds();
   Metrics().delta_batches->Increment(1);
@@ -481,11 +287,6 @@ Status BellwetherState::ApplyDelta(std::vector<RegionTrainingSet> batch) {
       .Field("dirty_cells", dirty_.count())
       .Field("batches", delta_batches_)
       << "delta batch applied";
-  if (!config.checkpoint_path.empty()) {
-    // Batch-boundary durability: a crash mid-batch reopens this save and
-    // re-applies the whole batch, converging on the same state bit for bit.
-    BW_RETURN_IF_ERROR(Save(config.checkpoint_path));
-  }
   return Status::OK();
 }
 
@@ -499,33 +300,7 @@ internal::RegionRowsVisitor BellwetherState::SlotRowsVisitor() const {
   };
 }
 
-Result<BellwetherCube> BellwetherState::FinalizeOneShot() {
-  if (!scanned_) {
-    return Status::FailedPrecondition(
-        "one-shot Finalize requires a completed IngestScan");
-  }
-  const CubeBuildConfig& config = options_.config;
-  const std::vector<uint8_t>* mask = has_mask_ ? &item_mask_ : nullptr;
-  internal::RegionRowsVisitor rows;
-  if (config.compute_cv_stats) {
-    rows = internal::SourceRowsVisitor(scan_source_);
-  }
-  std::vector<CubeCell> cells;
-  cells.reserve(significant_.size());
-  for (size_t k = 0; k < significant_.size(); ++k) {
-    const SubsetId sid = significant_[k];
-    BW_ASSIGN_OR_RETURN(
-        CubeCell cell,
-        internal::BuildCubeCell(sid, sizes_[sid], picks_[k], config, mask,
-                                *subsets_, rows));
-    cells.push_back(std::move(cell));
-  }
-  return internal::AssembleCube(options_.report_name, subsets_, config,
-                                std::move(cells), telemetry_, build_watch_);
-}
-
 Result<BellwetherCube> BellwetherState::Finalize() {
-  if (!options_.incremental) return FinalizeOneShot();
   obs::TraceSpan span("BellwetherState::Finalize", "state");
   Stopwatch finalize_watch;
   const CubeBuildConfig& config = options_.config;
@@ -571,8 +346,8 @@ Result<BellwetherCube> BellwetherState::Finalize() {
   std::vector<CubeCell> cells = cell_cache_;
   BW_ASSIGN_OR_RETURN(
       BellwetherCube cube,
-      internal::AssembleCube(options_.report_name, subsets_, config,
-                             std::move(cells), telemetry, finalize_watch));
+      internal::AssembleCube("cube_state", subsets_, config, std::move(cells),
+                             telemetry, finalize_watch));
   // Operational timing phases of the incremental path. Phases are excluded
   // from the report's logical fingerprint, so delta-maintained and rebuilt
   // cubes still compare byte-identical on their logical sections.
@@ -585,14 +360,10 @@ Result<BellwetherCube> BellwetherState::Finalize() {
 
 Result<BasicSearchResult> BellwetherState::FinalizeSearch(
     const BasicSearchOptions& options) {
-  if (!options_.incremental) {
-    return Status::FailedPrecondition(
-        "FinalizeSearch requires an incremental BellwetherState");
-  }
   obs::TraceSpan span("BellwetherState::FinalizeSearch", "state");
   // Cached per-region scores are keyed by the scoring options; a change
   // invalidates every cache entry (delta rows invalidate per region).
-  robust::FingerprintBuilder fp;
+  FingerprintBuilder fp;
   fp.Add(static_cast<uint64_t>(options.estimate))
       .Add(static_cast<uint64_t>(options.cv_folds))
       .Add(options.seed)
@@ -680,10 +451,6 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::Open(
 //   rows     the region's retained rows as one spill-file record
 //            (storage::WriteRegionRecord, RegionTrainingSet::ByteSize bytes)
 Status BellwetherState::SerializeTo(ChecksummedWriter& out) const {
-  if (!options_.incremental) {
-    return Status::FailedPrecondition(
-        "only incremental states are persistable");
-  }
   const CubeBuildConfig& c = options_.config;
   out.Put(fingerprint_);
   out.Put(c.min_subset_size);
@@ -725,7 +492,7 @@ Status BellwetherState::SerializeTo(ChecksummedWriter& out) const {
 Result<std::unique_ptr<BellwetherState>> BellwetherState::DeserializeFrom(
     ChecksummedReader& in, std::shared_ptr<const ItemSubsetSpace> subsets) {
   uint64_t stored_fp = 0;
-  Options options;  // incremental, report_name "cube_state"
+  Options options;
   CubeBuildConfig& c = options.config;
   uint8_t cv = 0;
   uint8_t has_mask = 0;

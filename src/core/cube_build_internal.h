@@ -14,12 +14,14 @@
 #include "regression/linear_model.h"
 #include "storage/training_data.h"
 
-/// Shared internals of the cube builders. The three one-shot builders
-/// (naive / single-scan / optimized) and the mutable BellwetherState all
-/// produce cubes through the same two phases exposed here — derive a
-/// CubeCell from a per-subset Pick, then assemble cells into a
-/// BellwetherCube with its telemetry and flight-recorder report — so their
-/// outputs stay bit-identical by construction. Not part of the public API.
+/// Shared internals of the cube builders. The three builders (naive /
+/// single-scan / optimized) and the mutable BellwetherState all produce
+/// cubes through the same two phases exposed here — derive a CubeCell from
+/// a per-subset Pick, then assemble cells into a BellwetherCube with its
+/// telemetry and flight-recorder report — so their outputs stay
+/// bit-identical by construction. The single-scan builder and the state
+/// also share the one row -> containing-subset fold. Not part of the public
+/// API.
 namespace bellwether::core::internal {
 
 inline constexpr double kCubeInf = std::numeric_limits<double>::infinity();
@@ -65,9 +67,26 @@ std::vector<SubsetId> SignificantSubsets(const std::vector<int32_t>& sizes,
 
 bool ItemMasked(const std::vector<uint8_t>* item_mask, int32_t item);
 
+/// Per item, the indices into `significant` of the significant subsets
+/// containing it, ascending (the containing subsets are, and `significant`
+/// is); empty for a masked item.
+std::vector<std::vector<int32_t>> ContainingSignificant(
+    const ItemSubsetSpace& subsets, const std::vector<SubsetId>& significant,
+    const std::vector<uint8_t>* item_mask);
+
+/// Adds each row of `set`, in row order, to the statistics of every
+/// significant subset containing its item: "build a model h_r on r for S"
+/// for every S at once, as one row list and one AddRows per subset.
+/// `containing` is ContainingSignificant's output; `stats` is indexed by
+/// significant index, and `lists` is a reused buffer.
+void FoldRows(const storage::RegionTrainingSet& set,
+              const std::vector<std::vector<int32_t>>& containing,
+              RowLists* lists,
+              std::vector<regression::RegressionSuffStats>* stats);
+
 /// Access to a region's raw training rows for the CV post-pass, abstracted
-/// over where the rows live (a TrainingDataSource for the one-shot builders,
-/// retained in-memory rows for BellwetherState). Contract: a region with no
+/// over where the rows live (a TrainingDataSource for the builders, retained
+/// in-memory rows for BellwetherState). Contract: a region with no
 /// rows available returns OK *without* invoking the callback (the cell just
 /// goes without CV stats); any other error propagates.
 using RegionRowsVisitor = std::function<Status(
@@ -98,7 +117,7 @@ Result<CubeCell> BuildCubeCell(SubsetId sid, int32_t subset_size,
 /// flight-recorder report named after `builder_name`. The report's logical
 /// sections depend only on config and cell contents, so equal cell vectors
 /// produce byte-identical LogicalJson regardless of how the cells were
-/// derived (one-shot scan vs. incremental delta maintenance).
+/// derived (a single scan vs. delta maintenance).
 Result<BellwetherCube> AssembleCube(
     std::string_view builder_name,
     std::shared_ptr<const ItemSubsetSpace> subsets,

@@ -1,7 +1,6 @@
 #ifndef BELLWETHER_EXEC_PARALLEL_H_
 #define BELLWETHER_EXEC_PARALLEL_H_
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -15,26 +14,6 @@
 #include "obs/trace.h"
 
 namespace bellwether::exec {
-
-/// Runs fn(i) for every i in [0, n). With a null pool or a single worker the
-/// loop runs inline in index order; otherwise the indices are distributed
-/// dynamically across the pool and the call blocks until all are done. One
-/// trace span covers the whole batch.
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn,
-                 const char* label = "exec.ParallelFor");
-
-/// Maps [0, n) through fn, returning results in index order regardless of
-/// which worker computed them. fn must be safe to call concurrently.
-template <typename R>
-std::vector<R> ParallelMap(ThreadPool* pool, size_t n,
-                           const std::function<R(size_t)>& fn,
-                           const char* label = "exec.ParallelMap") {
-  std::vector<R> out(n);
-  ParallelFor(
-      pool, n, [&](size_t i) { out[i] = fn(i); }, label);
-  return out;
-}
 
 /// Ordered streaming reduce over a producer the pool cannot reorder: tasks
 /// are submitted one at a time (typically from a storage scan), execute

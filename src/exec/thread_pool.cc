@@ -71,11 +71,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_cv_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
@@ -87,16 +82,10 @@ void ThreadPool::WorkerLoop() {
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
     Stopwatch busy;
     task();
     Metrics().busy_seconds->Add(busy.ElapsedSeconds());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-    }
-    idle_cv_.notify_all();
   }
 }
 

@@ -54,17 +54,12 @@ class ThreadPool {
   /// through MergeInSubmissionOrder (see parallel.h).
   void Submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished executing.
-  void Wait();
-
  private:
   void WorkerLoop();
 
   std::mutex mu_;
-  std::condition_variable work_cv_;   // workers wait for tasks
-  std::condition_variable idle_cv_;   // Wait() waits for quiescence
+  std::condition_variable work_cv_;  // workers wait for tasks
   std::deque<std::function<void()>> queue_;
-  int32_t in_flight_ = 0;  // tasks currently executing
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

@@ -294,10 +294,6 @@ void RegisterStandardMetrics(MetricsRegistry* registry) {
                        "ill-conditioned fits recovered by heavy ridge refit");
   registry->GetCounter(kMRegressionMeanFallbacks,
                        "fits degraded to the intercept-only mean model");
-  registry->GetCounter(kMCubeCheckpointsSaved,
-                       "cube build checkpoints written");
-  registry->GetCounter(kMCubeCheckpointResumes,
-                       "cube builds resumed from a checkpoint");
   registry->GetCounter(kMStateDeltaBatches,
                        "delta batches folded into an open bellwether state");
   registry->GetCounter(kMStateDeltaRows,

@@ -242,7 +242,7 @@ inline constexpr std::string_view kMStorageBytesRead =
     "bellwether_storage_bytes_read_total";
 
 // Robustness layer (robust/, storage/retrying_source.cc, table/csv.cc,
-// core/training_data_gen.cc, regression fallbacks, cube checkpointing).
+// core/training_data_gen.cc, regression fallbacks).
 inline constexpr std::string_view kMFaultInjections =
     "bellwether_fault_injections_total";
 inline constexpr std::string_view kMStorageRetries =
@@ -257,10 +257,6 @@ inline constexpr std::string_view kMRegressionRidgeRefits =
     "bellwether_regression_ridge_refits_total";
 inline constexpr std::string_view kMRegressionMeanFallbacks =
     "bellwether_regression_mean_fallbacks_total";
-inline constexpr std::string_view kMCubeCheckpointsSaved =
-    "bellwether_cube_checkpoints_saved_total";
-inline constexpr std::string_view kMCubeCheckpointResumes =
-    "bellwether_cube_checkpoint_resumes_total";
 inline constexpr std::string_view kMStateDeltaBatches =
     "bellwether_state_delta_batches_total";
 inline constexpr std::string_view kMStateDeltaRows =

@@ -9,6 +9,7 @@
 #include <limits>
 #include <thread>
 
+#include "common/fingerprint.h"
 #include "obs/json.h"
 
 namespace bellwether::obs {
@@ -197,22 +198,13 @@ void RunReport::SetText(std::string_view key, std::string_view value) {
 std::string RunReport::ConfigFingerprint() const {
   // FNV-1a 64 over "key=value\n" pairs; std::map iteration is sorted, so
   // the fingerprint is independent of insertion order.
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::string_view s) {
-    for (const char c : s) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-  };
+  FingerprintBuilder fp;
   for (const auto& [k, v] : config_) {
-    mix(k);
-    mix("=");
-    mix(v);
-    mix("\n");
+    fp.AddBytes(k).AddBytes("=").AddBytes(v).AddBytes("\n");
   }
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(fp.value()));
   return buf;
 }
 

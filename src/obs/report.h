@@ -122,7 +122,7 @@ class RunReport {
   void SetConfig(std::string_view key, int64_t value);
 
   /// Integer telemetry: scan counts, nodes/cells created, robustness event
-  /// counts (faults hit, retries, degradation picks, checkpoint resumes).
+  /// counts (faults hit, retries, degradation picks).
   void SetCount(std::string_view key, int64_t value);
   void AddCount(std::string_view key, int64_t delta);
   int64_t GetCount(std::string_view key, int64_t fallback = 0) const;

@@ -98,14 +98,17 @@ inline const bool kCubeHasAvx512 = __builtin_cpu_supports("avx512f");
 /// AVX-512 twin of the AVX2 kernels below: two cells per 512-bit vector,
 /// count lanes 1 and 5, min lanes 2 and 6, max lanes 3 and 7. Same
 /// bit-identical lane semantics (min/max take the second operand on ties,
-/// matching std::min(d, s) / std::max(d, s)).
+/// matching std::min(d, s) / std::max(d, s)). The zero-masked min/max with
+/// every lane selected compute the plain vminpd/vmaxpd; GCC defines the
+/// unmasked intrinsics with an undefined pass-through operand, which
+/// -Wmaybe-uninitialized reports in every file including this header.
 __attribute__((target("avx512f"))) inline __m512d MergeCellsAvx512(
     __m512d d, __m512d s) {
   const __m512d fsum = _mm512_add_pd(d, s);
   const __m512d isum = _mm512_castsi512_pd(
       _mm512_add_epi64(_mm512_castpd_si512(d), _mm512_castpd_si512(s)));
-  const __m512d mn = _mm512_min_pd(s, d);
-  const __m512d mx = _mm512_max_pd(s, d);
+  const __m512d mn = _mm512_maskz_min_pd(0xFF, s, d);
+  const __m512d mx = _mm512_maskz_max_pd(0xFF, s, d);
   __m512d r = _mm512_mask_blend_pd(0b00100010, fsum, isum);
   r = _mm512_mask_blend_pd(0b01000100, r, mn);
   return _mm512_mask_blend_pd(0b10001000, r, mx);

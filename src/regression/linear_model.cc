@@ -281,25 +281,6 @@ Result<RobustFit> RegressionSuffStats::FitWithFallback(
                    FitDegradation::kMeanFallback};
 }
 
-RegressionSuffStats RegressionSuffStats::FromComponents(linalg::Matrix xtwx,
-                                                        linalg::Vector xtwy,
-                                                        double ytwy, int64_t n,
-                                                        double sum_w) {
-  BW_CHECK(xtwx.rows() == xtwx.cols());
-  BW_CHECK(xtwx.rows() == xtwy.size());
-  const size_t p = xtwy.size();
-  RegressionSuffStats out(p);
-  size_t idx = 0;
-  for (size_t r = 0; r < p; ++r) {
-    for (size_t c = r; c < p; ++c) out.xtwx_packed_[idx++] = xtwx(r, c);
-  }
-  out.xtwy_ = std::move(xtwy);
-  out.ytwy_ = ytwy;
-  out.n_ = n;
-  out.sum_w_ = sum_w;
-  return out;
-}
-
 RegressionSuffStats RegressionSuffStats::FromPacked(size_t p,
                                                     std::vector<double> packed,
                                                     linalg::Vector xtwy,

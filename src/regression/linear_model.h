@@ -86,8 +86,8 @@ void AddRowsAvx512(RegressionSuffStats* stats, const double* xs,
 /// X'WX is symmetric, so it is stored in *packed* upper-triangular layout
 /// (row-major, row r holding columns r..p-1): half the arithmetic and half
 /// the memory traffic of the naive p x p rank-1 update, and Merge collapses
-/// to one flat sum over a contiguous array. Checkpoint/model I/O serialize
-/// the packed triangle directly (regression/suff_stats_io.h) and restore
+/// to one flat sum over a contiguous array. The state file serializes the
+/// packed triangle directly (regression/suff_stats_io.h) and restores it
 /// through FromPacked(); only the linalg solvers still go through the
 /// xtwx() unpack shim.
 class RegressionSuffStats {
@@ -154,13 +154,6 @@ class RegressionSuffStats {
   /// which tier fired; degradations are mirrored into the metrics registry.
   /// On a well-conditioned statistic the result is bit-identical to Fit().
   Result<RobustFit> FitWithFallback(double heavy_ridge = 1e2) const;
-
-  /// Reassembles a statistic from its components (checkpoint restore and
-  /// tests). `xtwx` must be p x p, `xtwy` length p. Only the upper triangle
-  /// of `xtwx` is read (the statistic is symmetric by construction).
-  static RegressionSuffStats FromComponents(linalg::Matrix xtwx,
-                                            linalg::Vector xtwy, double ytwy,
-                                            int64_t n, double sum_w);
 
   /// Reassembles a statistic directly from its packed upper triangle
   /// (PackedSize(p) values, row-major) without materializing the full

@@ -7,8 +7,8 @@
 
 namespace bellwether::regression {
 
-/// Binary wire format of one RegressionSuffStats, shared by the bellwether
-/// state file and the cube checkpoint (common/checksummed_io.h framing):
+/// Binary wire format of one RegressionSuffStats in the bellwether state
+/// file (common/checksummed_io.h framing):
 ///
 ///   int32 p, int64 n, double sum_w, double ytwy,
 ///   double packed[p*(p+1)/2], double xtwy[p]

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/fingerprint.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 
@@ -17,15 +18,6 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
-}
-
-uint64_t HashName(std::string_view name) {
-  uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
 }
 
 obs::Counter* InjectionCounter() {
@@ -148,8 +140,8 @@ bool FaultRegistry::ShouldFire(std::string_view point, FaultKind kind) {
   if (s.fire_first_n > 0) {
     fire = arrival < s.fire_first_n;
   } else {
-    const uint64_t h =
-        Mix64(seed_ ^ HashName(point) ^ static_cast<uint64_t>(arrival));
+    const uint64_t name = FingerprintBuilder().AddBytes(point).value();
+    const uint64_t h = Mix64(seed_ ^ name ^ static_cast<uint64_t>(arrival));
     // Top 53 bits -> uniform double in [0, 1).
     const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
     fire = u < s.probability;

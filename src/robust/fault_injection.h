@@ -42,7 +42,7 @@ const char* FaultKindName(FaultKind kind);
 /// Examples:
 ///   BELLWETHER_FAULTS="storage.scan:io@3"          first 3 record reads fail
 ///   BELLWETHER_FAULTS="csv.row:corrupt@0.02"       2% of CSV rows malformed
-///   BELLWETHER_FAULTS="storage.scan:io@2;cube.scan:crash@1"
+///   BELLWETHER_FAULTS="storage.scan:io@2;state.delta:crash@1"
 ///
 /// The probabilistic trigger hashes (seed, point name, arrival index), so a
 /// given seed reproduces the exact same fault schedule on every run and the
@@ -106,8 +106,7 @@ Status MaybeInjectIo(std::string_view point);
 bool ShouldCorrupt(std::string_view point);
 
 /// True when `point` (kind crash) fires — the caller must abandon the
-/// operation as if the process had been killed (after any checkpointing it
-/// performs as part of normal operation).
+/// operation as if the process had been killed at that point.
 bool ShouldCrash(std::string_view point);
 
 // Canonical fault point names. Kept in one place so tests, docs, and the
@@ -117,7 +116,6 @@ inline constexpr std::string_view kFaultStorageRead = "storage.read";
 inline constexpr std::string_view kFaultStorageSpill = "storage.spill";
 inline constexpr std::string_view kFaultCsvRow = "csv.row";
 inline constexpr std::string_view kFaultDatagenRow = "datagen.row";
-inline constexpr std::string_view kFaultCubeScan = "cube.scan";
 inline constexpr std::string_view kFaultStateDelta = "state.delta";
 inline constexpr std::string_view kFaultArtifactWrite = "artifact.write";
 

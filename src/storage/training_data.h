@@ -61,8 +61,6 @@ struct IoStats {
   int64_t sequential_scans = 0;
   int64_t region_reads = 0;  // individual training sets materialized
   int64_t bytes_read = 0;
-
-  void Reset() { *this = IoStats{}; }
 };
 
 /// Abstract source of the "entire training data": the training sets of all
@@ -88,7 +86,6 @@ class TrainingDataSource {
   virtual std::vector<olap::RegionId> RegionIds() = 0;
 
   const IoStats& io_stats() const { return io_stats_; }
-  void ResetIoStats() { io_stats_.Reset(); }
 
  protected:
   IoStats io_stats_;

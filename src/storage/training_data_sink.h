@@ -21,8 +21,8 @@ namespace bellwether::storage {
 /// The ascending-RegionId ordering invariant is recorded during Append and
 /// enforced at Finish(): a violated sink fails with kFailedPrecondition
 /// instead of returning a source whose scan order would silently differ
-/// from every consumer's assumption (binary-search FindSet, checkpoint
-/// fingerprints, Fig. 11 scan accounting).
+/// from every consumer's assumption (binary-search FindSet, Fig. 11 scan
+/// accounting).
 class TrainingDataSink {
  public:
   virtual ~TrainingDataSink() = default;

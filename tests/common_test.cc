@@ -7,11 +7,13 @@
 #include <fstream>
 #include <ostream>
 #include <set>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/atomic_file.h"
 #include "common/crc32c.h"
+#include "common/fingerprint.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -267,6 +269,31 @@ TEST(Crc32cTest, ChunkedExtensionEqualsOneShot) {
     EXPECT_EQ(Crc32c(head, buf.data() + cut, buf.size() - cut), whole)
         << "cut " << cut;
   }
+}
+
+TEST(FingerprintTest, OrderAndValueSensitive) {
+  FingerprintBuilder a, b, c, d;
+  a.Add(1).Add(2);
+  b.Add(1).Add(2);
+  c.Add(2).Add(1);
+  d.Add(1).Add(3);
+  EXPECT_EQ(a.value(), b.value());
+  EXPECT_NE(a.value(), c.value());
+  EXPECT_NE(a.value(), d.value());
+}
+
+TEST(FingerprintTest, PinnedFnv1a64Values) {
+  // Published FNV-1a 64 vectors; "" is the offset basis. State files store
+  // these hashes, so they must never change.
+  EXPECT_EQ(FingerprintBuilder().AddBytes("").value(), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(FingerprintBuilder().AddBytes("a").value(), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(FingerprintBuilder().AddBytes("foobar").value(),
+            0x85944171f73967e8ULL);
+  // Add mixes the eight bytes of its value, least significant first.
+  EXPECT_EQ(FingerprintBuilder().Add(0x61).value(),
+            FingerprintBuilder()
+                .AddBytes(std::string_view("a\0\0\0\0\0\0\0", 8))
+                .value());
 }
 
 std::string ReadFile(const std::string& path) {

@@ -1,7 +1,7 @@
 // Tests of the parallel execution layer (src/exec/): thread-pool basics and
-// draining, ParallelFor/ParallelMap index coverage, the ordered streaming
-// reduce (MergeInSubmissionOrder), its error propagation, and the exec
-// metrics. The stress cases double as the TSAN targets of the tsan preset.
+// draining, the ordered streaming reduce (MergeInSubmissionOrder), its error
+// propagation, and the exec metrics. The stress cases double as the TSAN
+// targets of the tsan preset.
 
 #include <gtest/gtest.h>
 
@@ -29,13 +29,14 @@ TEST(ResolveNumThreadsTest, Mapping) {
 }
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
   std::atomic<int64_t> sum{0};
-  for (int i = 1; i <= 100; ++i) {
-    pool.Submit([&sum, i] { sum.fetch_add(i); });
-  }
-  pool.Wait();
+  {
+    ThreadPool pool(4);
+    EXPECT_EQ(pool.num_threads(), 4);
+    for (int i = 1; i <= 100; ++i) {
+      pool.Submit([&sum, i] { sum.fetch_add(i); });
+    }
+  }  // the destructor drains the queue
   EXPECT_EQ(sum.load(), 5050);
 }
 
@@ -49,58 +50,27 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
         ran.fetch_add(1);
       });
     }
-    // No Wait(): destruction must still run everything.
+    // Destruction must run everything still queued.
   }
   EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(ThreadPoolTest, SubmitFromMultipleThreadsStress) {
   // TSAN target: several producers hammering one pool.
-  ThreadPool pool(4);
   std::atomic<int64_t> sum{0};
-  std::vector<std::thread> producers;
-  for (int t = 0; t < 3; ++t) {
-    producers.emplace_back([&pool, &sum] {
-      for (int i = 0; i < 500; ++i) {
-        pool.Submit([&sum] { sum.fetch_add(1); });
-      }
-    });
-  }
-  for (auto& p : producers) p.join();
-  pool.Wait();
-  EXPECT_EQ(sum.load(), 1500);
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  for (int32_t threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    std::vector<std::atomic<int32_t>> hits(1000);
-    for (auto& h : hits) h = 0;
-    ParallelFor(threads > 1 ? &pool : nullptr, hits.size(),
-                [&](size_t i) { hits[i].fetch_add(1); });
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
+  {
+    ThreadPool pool(4);
+    std::vector<std::thread> producers;
+    for (int t = 0; t < 3; ++t) {
+      producers.emplace_back([&pool, &sum] {
+        for (int i = 0; i < 500; ++i) {
+          pool.Submit([&sum] { sum.fetch_add(1); });
+        }
+      });
     }
-  }
-}
-
-TEST(ParallelForTest, ZeroAndOneElement) {
-  ThreadPool pool(2);
-  int calls = 0;
-  ParallelFor(&pool, 0, [&](size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  ParallelFor(&pool, 1, [&](size_t i) { calls += static_cast<int>(i) + 1; });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelMapTest, ResultsInIndexOrder) {
-  ThreadPool pool(4);
-  const std::vector<int64_t> out = ParallelMap<int64_t>(
-      &pool, 257, [](size_t i) { return static_cast<int64_t>(i * i); });
-  ASSERT_EQ(out.size(), 257u);
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int64_t>(i * i));
-  }
+    for (auto& p : producers) p.join();
+  }  // the destructor drains the queue
+  EXPECT_EQ(sum.load(), 1500);
 }
 
 TEST(MergeInSubmissionOrderTest, SerialRunsInlineAndInOrder) {
@@ -197,11 +167,12 @@ TEST(ExecMetricsTest, TasksSubmittedCounterAdvances) {
   obs::Counter* submitted =
       obs::DefaultMetrics().GetCounter(obs::kMExecTasksSubmitted);
   const int64_t before = submitted->Value();
-  ThreadPool pool(2);
-  for (int i = 0; i < 17; ++i) {
-    pool.Submit([] {});
-  }
-  pool.Wait();
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 17; ++i) {
+      pool.Submit([] {});
+    }
+  }  // the destructor drains the queue
   EXPECT_EQ(submitted->Value() - before, 17);
   // Busy-seconds accumulates (weakly: tasks are near-instant, so just check
   // the gauge exists and is non-negative).

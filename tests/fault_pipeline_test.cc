@@ -5,13 +5,12 @@
 //   (b) corrupt fact rows are quarantined — counters match the injected
 //       corruption exactly — and the bellwether equals the one computed on
 //       the clean subset of the data;
-//   (c) the Lemma 1/2 scan-count telemetry still holds under retries;
-//   (d) a cube build killed mid-scan resumes from its checkpoint and
-//       produces output identical to an uninterrupted build.
+//   (c) the Lemma 1/2 scan-count telemetry still holds under retries.
+// A killed cube build resumes from a saved BellwetherState
+// (state_delta_test, parallel_determinism_test).
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -233,103 +232,6 @@ TEST(FaultPipelineTest, SingleScanCubeIdenticalUnderRetries) {
     EXPECT_EQ(faulted->cells()[i].error, clean->cells()[i].error);
     EXPECT_EQ(faulted->cells()[i].model.beta(), clean->cells()[i].model.beta());
   }
-}
-
-// ---- (d): checkpoint/resume of a killed cube build ----
-
-TEST(FaultPipelineTest, KilledCubeBuildResumesIdentically) {
-  datagen::SimulationDataset sim = MakeSim(35);
-  auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
-  ASSERT_TRUE(subsets.ok());
-
-  CubeBuildConfig base;
-  base.min_subset_size = 20;
-  base.min_examples_per_model = 8;
-  base.compute_cv_stats = false;
-
-  storage::MemoryTrainingData ref_src(sim.sets);
-  auto ref = BuildBellwetherCubeSingleScan(&ref_src, *subsets, base);
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-
-  CubeBuildConfig ckpt_config = base;
-  ckpt_config.checkpoint_path = TestTempPath("cube_resume.bwk");
-  ckpt_config.checkpoint_every = 1;
-
-  {
-    // "Kill" the build right after the first region's checkpoint.
-    ScopedFaults faults("cube.scan:crash@1");
-    storage::MemoryTrainingData src(sim.sets);
-    auto crashed = BuildBellwetherCubeSingleScan(&src, *subsets, ckpt_config);
-    ASSERT_FALSE(crashed.ok());
-    EXPECT_EQ(crashed.status().code(), StatusCode::kIoError);
-  }
-
-  const int64_t resumes_before =
-      obs::DefaultMetrics()
-          .GetCounter(obs::kMCubeCheckpointResumes)
-          ->Value();
-  storage::MemoryTrainingData resume_src(sim.sets);
-  auto resumed =
-      BuildBellwetherCubeSingleScan(&resume_src, *subsets, ckpt_config);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->build_telemetry().resumed_regions, 1);
-  EXPECT_GE(resumed->build_telemetry().checkpoints_saved, 1);
-  EXPECT_EQ(obs::DefaultMetrics()
-                    .GetCounter(obs::kMCubeCheckpointResumes)
-                    ->Value() -
-                resumes_before,
-            1);
-
-  // Bit-identical to the uninterrupted build.
-  ASSERT_EQ(resumed->cells().size(), ref->cells().size());
-  for (size_t i = 0; i < ref->cells().size(); ++i) {
-    EXPECT_EQ(resumed->cells()[i].subset, ref->cells()[i].subset);
-    EXPECT_EQ(resumed->cells()[i].region, ref->cells()[i].region);
-    EXPECT_EQ(resumed->cells()[i].error, ref->cells()[i].error);
-    EXPECT_EQ(resumed->cells()[i].has_model, ref->cells()[i].has_model);
-    EXPECT_EQ(resumed->cells()[i].model.beta(), ref->cells()[i].model.beta());
-    EXPECT_EQ(resumed->cells()[i].degradation, ref->cells()[i].degradation);
-    EXPECT_EQ(resumed->cells()[i].fallback_pick,
-              ref->cells()[i].fallback_pick);
-  }
-  std::remove(ckpt_config.checkpoint_path.c_str());
-}
-
-TEST(FaultPipelineTest, StaleCheckpointIsIgnored) {
-  datagen::SimulationDataset sim = MakeSim(37);
-  auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
-  ASSERT_TRUE(subsets.ok());
-
-  CubeBuildConfig config;
-  config.min_subset_size = 20;
-  config.min_examples_per_model = 8;
-  config.compute_cv_stats = false;
-  config.checkpoint_path = TestTempPath("cube_stale.bwk");
-
-  storage::MemoryTrainingData src1(sim.sets);
-  auto first = BuildBellwetherCubeSingleScan(&src1, *subsets, config);
-  ASSERT_TRUE(first.ok());
-
-  // A different significance threshold changes the build fingerprint, so
-  // the leftover checkpoint must not be resumed.
-  CubeBuildConfig other = config;
-  other.min_subset_size = 40;
-  storage::MemoryTrainingData src2(sim.sets);
-  auto second = BuildBellwetherCubeSingleScan(&src2, *subsets, other);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(second->build_telemetry().resumed_regions, 0);
-
-  storage::MemoryTrainingData ref_src(sim.sets);
-  CubeBuildConfig no_ckpt = other;
-  no_ckpt.checkpoint_path.clear();
-  auto ref = BuildBellwetherCubeSingleScan(&ref_src, *subsets, no_ckpt);
-  ASSERT_TRUE(ref.ok());
-  ASSERT_EQ(second->cells().size(), ref->cells().size());
-  for (size_t i = 0; i < ref->cells().size(); ++i) {
-    EXPECT_EQ(second->cells()[i].region, ref->cells()[i].region);
-    EXPECT_EQ(second->cells()[i].error, ref->cells()[i].error);
-  }
-  std::remove(config.checkpoint_path.c_str());
 }
 
 }  // namespace

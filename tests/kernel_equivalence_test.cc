@@ -10,7 +10,7 @@
 //    multiply-add the others round twice.
 //  * Merge and the flat NumericAgg MergeSlice run: pure same-order
 //    additions, compared exactly.
-//  * FromComponents / xtwx() unpack-pack round trips: exact.
+//  * The xtwx() unpack of the packed triangle: exact.
 //  * Algebraic k-fold cross-validation vs the copy-and-refit oracle it
 //    replaced: same folds, same RNG consumption, same skipped folds, and
 //    error values within a relative 1e-9 (the two sum the same examples in
@@ -18,9 +18,9 @@
 //    a sum of squared residuals); and its row-list form vs the Dataset
 //    form over the same rows, bit for bit.
 //
-// Determinism of *one binary* across thread counts and checkpoint resume is
-// covered by parallel_determinism_test and robust_test; these tests pin the
-// numerics of the kernels themselves.
+// Determinism of *one binary* across thread counts and kill/resume is
+// covered by parallel_determinism_test and state_delta_test; these tests pin
+// the numerics of the kernels themselves.
 
 #include <gtest/gtest.h>
 
@@ -203,24 +203,6 @@ TEST_P(SuffStatsEquivalenceTest, MergeIsExactFlatSum) {
   // And it still agrees with the reference merge up to contraction drift.
   ra.Merge(rb);
   CompareToRef(a, ra);
-}
-
-TEST_P(SuffStatsEquivalenceTest, FromComponentsRoundTripsExactly) {
-  const size_t p = GetParam();
-  Rng rng(400 + p);
-  const size_t n = 50;
-  const auto rows = RandomRows(rng, n, p);
-  RegressionSuffStats s(p);
-  for (size_t i = 0; i < n; ++i) {
-    s.Add(rows.data() + i * p, rng.NextDouble(), rng.NextDouble(0.5, 1.5));
-  }
-  const RegressionSuffStats back = RegressionSuffStats::FromComponents(
-      s.xtwx(), s.xtwy(), s.ytwy(), s.num_examples(), s.sum_weights());
-  EXPECT_EQ(back.packed_xtwx(), s.packed_xtwx());
-  EXPECT_EQ(back.xtwy(), s.xtwy());
-  EXPECT_EQ(back.ytwy(), s.ytwy());
-  EXPECT_EQ(back.num_examples(), s.num_examples());
-  EXPECT_EQ(back.sum_weights(), s.sum_weights());
 }
 
 TEST_P(SuffStatsEquivalenceTest, PackedIndexMatchesUnpackedLayout) {

@@ -709,6 +709,12 @@ TEST_F(StateFileTest, GarbageMagicIsInvalidArgument) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(StateFileTest, MissingFileIsIoError) {
+  auto r = LoadBellwetherState(TestTempPath("does_not_exist.bws"), subsets_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+}
+
 TEST_F(StateFileTest, TruncationFailsCleanlyAtEveryBoundary) {
   const std::string content = ReadAll(path_);
   const FirstRegionLayout l = WalkFirstRegion(content);

@@ -3,20 +3,24 @@
 // hardware_concurrency — the basic search, the RainForest tree, and the
 // single-scan cube produce artifacts bit-identical to the serial build;
 // the same holds with deterministic faults armed, a failed scan returns its
-// error at every thread count, and checkpoints written by a parallel build
-// are interchangeable with serial ones.
+// error at every thread count, and a state saved by a parallel build and
+// killed mid-batch resumes at any thread count.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/basic_search.h"
 #include "core/bellwether_cube.h"
+#include "core/bellwether_state.h"
 #include "core/bellwether_tree.h"
+#include "core/model_io.h"
 #include "datagen/simulation.h"
 #include "robust/fault_injection.h"
 #include "storage/retrying_source.h"
@@ -337,6 +341,16 @@ TEST(ParallelDeterminismTest, SearchIdenticalUnderFaultsAcrossThreadCounts) {
   }
 }
 
+// The bytes of the cube's artifact file.
+std::string CubeBytes(const BellwetherCube& cube, const std::string& path) {
+  EXPECT_TRUE(SaveBellwetherCube(cube, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return bytes;
+}
+
 TEST(ParallelDeterminismTest, CubeCrashAndResumeAcrossThreadCounts) {
   datagen::SimulationDataset sim = MakeSim(49);
   auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
@@ -349,38 +363,54 @@ TEST(ParallelDeterminismTest, CubeCrashAndResumeAcrossThreadCounts) {
   storage::MemoryTrainingData ref_src(sim.sets);
   auto ref = BuildBellwetherCubeSingleScan(&ref_src, *subsets, base);
   ASSERT_TRUE(ref.ok());
+  const std::string ref_bytes = CubeBytes(*ref, TestTempPath("ref.bwc"));
+
+  // Batch 1 holds the first half of every region's rows, batch 2 the rest.
+  std::vector<storage::RegionTrainingSet> batches[2];
+  for (const auto& set : sim.sets) {
+    const size_t half = set.num_examples() / 2;
+    batches[0].push_back(SliceRows(set, 0, half));
+    batches[1].push_back(SliceRows(set, half, set.num_examples()));
+  }
 
   for (int32_t crash_threads : {1, 4}) {
     for (int32_t resume_threads : {1, 4}) {
       SCOPED_TRACE("crash_threads=" + std::to_string(crash_threads) +
                    " resume_threads=" + std::to_string(resume_threads));
-      CubeBuildConfig ckpt = base;
-      ckpt.checkpoint_path = TestTempPath("par_cube_resume_") +
-                             std::to_string(crash_threads) + "_" +
-                             std::to_string(resume_threads) + ".bwk";
-      ckpt.checkpoint_every = 1;
+      const std::string path = TestTempPath("par_state_resume_") +
+                               std::to_string(crash_threads) + "_" +
+                               std::to_string(resume_threads) + ".bws";
       {
-        // Kill the build right after the first merged region's checkpoint.
-        // Crash arrival counts follow the merge order, so the checkpoint on
-        // disk is the same whatever thread count wrote it.
-        ScopedFaults faults("cube.scan:crash@1");
-        CubeBuildConfig crash_config = ckpt;
-        crash_config.exec.num_threads = crash_threads;
-        storage::MemoryTrainingData src(sim.sets);
-        auto crashed =
-            BuildBellwetherCubeSingleScan(&src, *subsets, crash_config);
-        ASSERT_FALSE(crashed.ok());
-        EXPECT_EQ(crashed.status().code(), StatusCode::kIoError);
+        BellwetherState::Options options;
+        options.config = base;
+        options.config.exec.num_threads = crash_threads;
+        auto state = BellwetherState::Init(*subsets, options);
+        ASSERT_TRUE(state.ok());
+        std::vector<storage::RegionTrainingSet> first = batches[0];
+        ASSERT_TRUE((*state)->ApplyDelta(std::move(first)).ok());
+        ASSERT_TRUE((*state)->Save(path).ok());
+        // Kill batch 2 after its first merged region. Crash arrival counts
+        // follow the merge order, so the kill lands at the same region
+        // whatever thread count runs the batch.
+        ScopedFaults faults("state.delta:crash@1");
+        std::vector<storage::RegionTrainingSet> second = batches[1];
+        const Status st = (*state)->ApplyDelta(std::move(second));
+        ASSERT_FALSE(st.ok());
+        EXPECT_EQ(st.code(), StatusCode::kIoError);
       }
-      CubeBuildConfig resume_config = ckpt;
-      resume_config.exec.num_threads = resume_threads;
-      storage::MemoryTrainingData src(sim.sets);
-      auto resumed =
-          BuildBellwetherCubeSingleScan(&src, *subsets, resume_config);
+      // Reopen the save and re-apply the killed batch.
+      auto reopened = BellwetherState::Open(path, *subsets);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      exec::BellwetherExecOptions exec;
+      exec.num_threads = resume_threads;
+      (*reopened)->set_exec(exec);
+      std::vector<storage::RegionTrainingSet> second = batches[1];
+      ASSERT_TRUE((*reopened)->ApplyDelta(std::move(second)).ok());
+      auto resumed = (*reopened)->Finalize();
       ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-      EXPECT_EQ(resumed->build_telemetry().resumed_regions, 1);
       ExpectCubesIdentical(*resumed, *ref);
-      std::remove(ckpt.checkpoint_path.c_str());
+      EXPECT_EQ(CubeBytes(*resumed, TestTempPath("resumed.bwc")), ref_bytes);
+      std::remove(path.c_str());
     }
   }
 }

@@ -1,23 +1,13 @@
 // Unit tests of the robustness toolkit: the deterministic fault-injection
-// registry, row quarantine accounting, and the cube checkpoint format (and
-// through it the binary suff-stats codec shared with the state file).
+// registry and row quarantine accounting.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <limits>
-
-#include "robust/checkpoint.h"
 #include "robust/fault_injection.h"
 #include "robust/quarantine.h"
-#include "test_util.h"
 
 namespace bellwether::robust {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(FaultRegistryTest, DisarmedNeverFires) {
   FaultRegistry reg;
@@ -81,12 +71,12 @@ TEST(FaultRegistryTest, ProbabilisticTriggerIsDeterministicPerSeed) {
 
 TEST(FaultRegistryTest, MultiEntrySpecAndArmedPoints) {
   FaultRegistry reg;
-  ASSERT_TRUE(reg.Arm("storage.scan:io@2;cube.scan:crash@1").ok());
+  ASSERT_TRUE(reg.Arm("storage.scan:io@2;state.delta:crash@1").ok());
   const auto points = reg.ArmedPoints();
   ASSERT_EQ(points.size(), 2u);
   EXPECT_TRUE(reg.ShouldFire("storage.scan", FaultKind::kIoError));
-  EXPECT_TRUE(reg.ShouldFire("cube.scan", FaultKind::kCrash));
-  EXPECT_FALSE(reg.ShouldFire("cube.scan", FaultKind::kCrash));
+  EXPECT_TRUE(reg.ShouldFire("state.delta", FaultKind::kCrash));
+  EXPECT_FALSE(reg.ShouldFire("state.delta", FaultKind::kCrash));
 }
 
 TEST(FaultRegistryTest, MalformedSpecsAreRejectedAndDisarm) {
@@ -140,139 +130,6 @@ TEST(QuarantineStatsTest, MergeAccumulates) {
   EXPECT_EQ(a.rows_seen, 15);
   EXPECT_EQ(a.rows_quarantined, 3);
   EXPECT_EQ(a.sample_errors.size(), 3u);
-}
-
-TEST(FingerprintTest, OrderAndValueSensitive) {
-  FingerprintBuilder a, b, c, d;
-  a.Add(1).Add(2);
-  b.Add(1).Add(2);
-  c.Add(2).Add(1);
-  d.Add(1).Add(3);
-  EXPECT_EQ(a.value(), b.value());
-  EXPECT_NE(a.value(), c.value());
-  EXPECT_NE(a.value(), d.value());
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-regression::RegressionSuffStats MakeStats() {
-  regression::RegressionSuffStats s(3);
-  const double rows[4][3] = {{1, 2, 3}, {1, 0, -1}, {1, 5, 2}, {1, 1, 1}};
-  const double ys[4] = {2.0, -1.5, 4.25, 0.5};
-  for (int i = 0; i < 4; ++i) s.Add(rows[i], ys[i], 1.0 + 0.25 * i);
-  return s;
-}
-
-TEST(CheckpointTest, RoundTripIsExact) {
-  CubeBuildCheckpoint ckpt;
-  ckpt.fingerprint = 0xDEADBEEFCAFEF00DULL;
-  ckpt.regions_processed = 7;
-  PickCheckpoint pick;
-  pick.error = 1.0 / 3.0;  // not representable in decimal
-  pick.region = 12;
-  pick.stats = MakeStats();
-  pick.fallback_region = 3;
-  pick.fallback_examples = 4;
-  pick.fallback_stats = MakeStats();
-  ckpt.picks.push_back(pick);
-  PickCheckpoint untouched;  // defaults, with an infinite error
-  untouched.error = kInf;
-  ckpt.picks.push_back(untouched);
-
-  const std::string path = TestTempPath("ckpt.bwk");
-  ASSERT_TRUE(SaveCubeCheckpoint(ckpt, path).ok());
-  auto back = LoadCubeCheckpoint(path);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->fingerprint, ckpt.fingerprint);
-  EXPECT_EQ(back->regions_processed, 7);
-  ASSERT_EQ(back->picks.size(), 2u);
-  EXPECT_EQ(back->picks[0].error, pick.error);  // bit-exact
-  EXPECT_EQ(back->picks[0].region, 12);
-  EXPECT_EQ(back->picks[0].fallback_region, 3);
-  EXPECT_EQ(back->picks[0].fallback_examples, 4);
-  EXPECT_EQ(back->picks[0].stats.num_examples(), 4);
-  EXPECT_EQ(back->picks[0].stats.xtwy()[2], pick.stats.xtwy()[2]);
-  EXPECT_EQ(back->picks[0].stats.xtwx()(1, 2), pick.stats.xtwx()(1, 2));
-  EXPECT_EQ(back->picks[1].error, kInf);  // inf survives as raw bytes
-  EXPECT_EQ(back->picks[1].region, -1);
-  // Saving the loaded checkpoint reproduces the file bit for bit.
-  const std::string again = TestTempPath("ckpt_again.bwk");
-  ASSERT_TRUE(SaveCubeCheckpoint(*back, again).ok());
-  EXPECT_EQ(ReadFile(again), ReadFile(path));
-  std::remove(again.c_str());
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointTest, TruncatedFileIsIoError) {
-  CubeBuildCheckpoint ckpt;
-  ckpt.fingerprint = 5;
-  ckpt.regions_processed = 1;
-  PickCheckpoint pick;
-  pick.stats = MakeStats();
-  pick.fallback_stats = MakeStats();
-  ckpt.picks.push_back(pick);
-  const std::string path = TestTempPath("ckpt_trunc.bwk");
-  ASSERT_TRUE(SaveCubeCheckpoint(ckpt, path).ok());
-  const std::string content = ReadFile(path);
-  // Cut at several depths: after the magic, mid-header, mid-pick.
-  for (size_t cut : {size_t{30}, size_t{60}, size_t{100},
-                     content.size() - 4}) {
-    ASSERT_LT(cut, content.size());
-    std::ofstream out(path);
-    out << content.substr(0, cut);
-    out.close();
-    auto r = LoadCubeCheckpoint(path);
-    ASSERT_FALSE(r.ok()) << "cut at " << cut;
-    EXPECT_EQ(r.status().code(), StatusCode::kIoError) << "cut at " << cut;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointTest, WrongMagicIsFailedPrecondition) {
-  const std::string path = TestTempPath("ckpt_magic.bwk");
-  // A future version, and the text format v3 replaced.
-  for (const char* magic : {"bellwether-cube-checkpoint-v999",
-                            "bellwether-cube-checkpoint-v2"}) {
-    std::ofstream out(path);
-    out << magic << "\nfingerprint 1\nregions_processed 0\npicks 0\nend\n";
-    out.close();
-    auto r = LoadCubeCheckpoint(path);
-    ASSERT_FALSE(r.ok()) << magic;
-    EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition) << magic;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointTest, EveryByteFlipIsRejected) {
-  CubeBuildCheckpoint ckpt;
-  ckpt.fingerprint = 9;
-  ckpt.regions_processed = 2;
-  PickCheckpoint pick;
-  pick.error = 0.5;
-  pick.region = 4;
-  pick.stats = MakeStats();
-  pick.fallback_stats = MakeStats();
-  ckpt.picks.push_back(pick);
-  const std::string path = TestTempPath("ckpt_flip.bwk");
-  ASSERT_TRUE(SaveCubeCheckpoint(ckpt, path).ok());
-  const std::string content = ReadFile(path);
-  for (size_t pos = 0; pos < content.size(); ++pos) {
-    std::string flipped = content;
-    flipped[pos] = static_cast<char>(flipped[pos] ^ 0x5A);
-    std::ofstream(path, std::ios::binary) << flipped;
-    EXPECT_FALSE(LoadCubeCheckpoint(path).ok()) << "flip at " << pos;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointTest, MissingFileIsIoError) {
-  auto r = LoadCubeCheckpoint(TestTempPath("does_not_exist.bwk"));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 // cells, artifact bytes, and the report's logical sections — to a
 // from-scratch rebuild over the concatenated stream, at one and many
 // threads, with deterministic faults armed, and across kill/reopen of the
-// persisted state. Plus the building blocks: DirtySet semantics, the
-// dirty-cell re-derivation economy, and FinalizeSearch parity with the
-// sequential basic search.
+// persisted state; a killed batch leaves the state unchanged. Plus the
+// building blocks: DirtySet semantics, the dirty-cell re-derivation
+// economy, and FinalizeSearch parity with the sequential basic search.
 
 #include <gtest/gtest.h>
 
@@ -49,22 +49,6 @@ CubeBuildConfig MakeConfig() {
   config.min_subset_size = 20;
   config.min_examples_per_model = 8;
   return config;
-}
-
-storage::RegionTrainingSet SliceRows(const storage::RegionTrainingSet& set,
-                                     size_t lo, size_t hi) {
-  storage::RegionTrainingSet out;
-  out.region = set.region;
-  out.num_features = set.num_features;
-  for (size_t i = lo; i < hi; ++i) {
-    out.items.push_back(set.items[i]);
-    out.targets.push_back(set.targets[i]);
-    for (int32_t f = 0; f < set.num_features; ++f) {
-      out.features.push_back(set.features[i * set.num_features + f]);
-    }
-    if (set.weighted()) out.weights.push_back(set.weights[i]);
-  }
-  return out;
 }
 
 // Splits each region's rows into `num_batches` contiguous chunks at random
@@ -325,7 +309,7 @@ TEST(StateDeltaTest, CrashMidBatchReopensFromSaveAndConverges) {
   auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
   ASSERT_TRUE(subsets.ok());
   CubeBuildConfig config = MakeConfig();
-  config.checkpoint_path = TestTempPath("state_crash.bws");
+  const std::string path = TestTempPath("state_crash.bws");
 
   Rng rng(510);
   const auto batches = SplitIntoBatches(sim.sets, 2, &rng);
@@ -348,9 +332,10 @@ TEST(StateDeltaTest, CrashMidBatchReopensFromSaveAndConverges) {
       std::vector<storage::RegionTrainingSet> first = batches[0];
       // Batch 1 lands and is saved at the batch boundary.
       ASSERT_TRUE((*state)->ApplyDelta(std::move(first)).ok());
+      ASSERT_TRUE((*state)->Save(path).ok());
       EXPECT_EQ((*state)->delta_batches(), 1);
-      // Batch 2 is killed after its first region's commit: the in-memory
-      // state now holds a partial batch and must be abandoned.
+      // Batch 2 is killed after its first region: the process is gone, so
+      // the in-memory state is abandoned.
       ScopedFaults faults("state.delta:crash@1");
       std::vector<storage::RegionTrainingSet> second = batches[1];
       const Status st = (*state)->ApplyDelta(std::move(second));
@@ -358,7 +343,7 @@ TEST(StateDeltaTest, CrashMidBatchReopensFromSaveAndConverges) {
       EXPECT_EQ(st.code(), StatusCode::kIoError);
     }
     // Reopen the last good save and re-apply the whole killed batch.
-    auto reopened = BellwetherState::Open(config.checkpoint_path, *subsets);
+    auto reopened = BellwetherState::Open(path, *subsets);
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     EXPECT_EQ((*reopened)->delta_batches(), 1);
     exec::BellwetherExecOptions exec;
@@ -371,8 +356,93 @@ TEST(StateDeltaTest, CrashMidBatchReopensFromSaveAndConverges) {
     ExpectCubesIdentical(*cube, *ref_cube);
     ExpectSameArtifactBytes(*cube, *ref_cube,
                             "crash_" + std::to_string(resume_threads));
-    std::remove(config.checkpoint_path.c_str());
+    std::remove(path.c_str());
   }
+}
+
+// The fault seed under which `spec`, a probabilistic "state.delta" crash
+// schedule, first fires at arrival `region` (1-based): armed with it, a
+// batch is killed right after its `region`-th region reaches the merge. A
+// count trigger cannot place the kill there, since crash@k fires on the
+// first k arrivals.
+uint64_t SeedKillingAtRegion(const std::string& spec, int64_t region) {
+  for (uint64_t seed = 1; seed <= 1000000; ++seed) {
+    robust::FaultRegistry probe;
+    probe.set_seed(seed);
+    EXPECT_TRUE(probe.Arm(spec).ok());
+    int64_t first = 0;
+    for (int64_t arrival = 1; arrival <= region && first == 0; ++arrival) {
+      if (probe.ShouldFire(robust::kFaultStateDelta,
+                           robust::FaultKind::kCrash)) {
+        first = arrival;
+      }
+    }
+    if (first == region) return seed;
+  }
+  ADD_FAILURE() << "no seed kills at region " << region;
+  return 0;
+}
+
+TEST(StateDeltaTest, KilledBatchLeavesTheStateUnchanged) {
+  datagen::SimulationDataset sim = MakeSim(53);
+  auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
+  ASSERT_TRUE(subsets.ok());
+  Rng rng(530);
+  const auto batches = SplitIntoBatches(sim.sets, 2, &rng);
+  int64_t regions = 0;  // regions of batch 2 that reach the merge
+  for (const auto& set : batches[1]) regions += set.num_examples() > 0;
+  ASSERT_GE(regions, 3);
+  const std::string spec =
+      "state.delta:crash@" + std::to_string(1.0 / static_cast<double>(regions));
+
+  storage::MemoryTrainingData source(sim.sets);
+  auto clean = BuildBellwetherCubeSingleScan(&source, *subsets, MakeConfig());
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+
+  const std::string before = TestTempPath("killed_before.bws");
+  const std::string after = TestTempPath("killed_after.bws");
+  for (int32_t threads : {1, 4}) {
+    for (int64_t kill_at : {int64_t{1}, regions / 2, regions}) {
+      const std::string tag =
+          std::to_string(threads) + "_" + std::to_string(kill_at);
+      SCOPED_TRACE("threads_kill_at=" + tag);
+      CubeBuildConfig config = MakeConfig();
+      config.exec.num_threads = threads;
+      auto state = NewState(*subsets, config);
+      ASSERT_TRUE(state.ok());
+      std::vector<storage::RegionTrainingSet> first = batches[0];
+      ASSERT_TRUE((*state)->ApplyDelta(std::move(first)).ok());
+      ASSERT_TRUE((*state)->Finalize().ok());  // empties the dirty set
+      ASSERT_TRUE((*state)->Save(before).ok());
+      {
+        robust::FaultRegistry::Default().set_seed(
+            SeedKillingAtRegion(spec, kill_at));
+        ScopedFaults faults(spec);
+        std::vector<storage::RegionTrainingSet> second = batches[1];
+        const Status st = (*state)->ApplyDelta(std::move(second));
+        ASSERT_FALSE(st.ok());
+        EXPECT_EQ(st.code(), StatusCode::kIoError);
+        EXPECT_EQ(robust::FaultRegistry::Default().arrivals(
+                      robust::kFaultStateDelta),
+                  kill_at);
+      }
+      // Nothing of the killed batch reached the state.
+      EXPECT_EQ((*state)->delta_batches(), 1);
+      EXPECT_EQ((*state)->dirty_cells(), 0);
+      ASSERT_TRUE((*state)->Save(after).ok());
+      EXPECT_TRUE(ReadAll(after) == ReadAll(before))
+          << "the killed batch changed the saved state";
+
+      // So the same object takes the batch again and matches a clean build.
+      std::vector<storage::RegionTrainingSet> second = batches[1];
+      ASSERT_TRUE((*state)->ApplyDelta(std::move(second)).ok());
+      auto cube = (*state)->Finalize();
+      ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+      ExpectSameArtifactBytes(*cube, *clean, "killed_" + tag);
+    }
+  }
+  std::remove(before.c_str());
+  std::remove(after.c_str());
 }
 
 // ---- Persistence ----

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstddef>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "core/bellwether_tree.h"
 #include "core/spec.h"
 #include "robust/fault_injection.h"
+#include "storage/training_data.h"
 #include "table/table.h"
 
 namespace bellwether {
@@ -49,6 +52,23 @@ class ScopedFaults {
   ScopedFaults(const ScopedFaults&) = delete;
   ScopedFaults& operator=(const ScopedFaults&) = delete;
 };
+
+/// Rows [lo, hi) of `set`, as a set of the same region.
+inline storage::RegionTrainingSet SliceRows(
+    const storage::RegionTrainingSet& set, size_t lo, size_t hi) {
+  storage::RegionTrainingSet out;
+  out.region = set.region;
+  out.num_features = set.num_features;
+  const size_t p = static_cast<size_t>(set.num_features);
+  out.items.assign(set.items.begin() + lo, set.items.begin() + hi);
+  out.features.assign(set.features.begin() + lo * p,
+                      set.features.begin() + hi * p);
+  out.targets.assign(set.targets.begin() + lo, set.targets.begin() + hi);
+  if (set.weighted()) {
+    out.weights.assign(set.weights.begin() + lo, set.weights.begin() + hi);
+  }
+  return out;
+}
 
 namespace core {
 
@@ -124,6 +144,13 @@ struct ColumnRoleCase {
   /// Replacement target column when the retyped column is also the target.
   std::string target;
 };
+
+/// gtest prints a case as its role. Without this it prints the struct's raw
+/// bytes, heap addresses included, into every ctest name of a suite
+/// parameterized on it, and the names change from build to build.
+inline void PrintTo(const ColumnRoleCase& c, std::ostream* os) {
+  *os << c.role;
+}
 
 /// `spec` with the case's column retyped. The retyped table lives in
 /// `*holder`; kReference retypes the table of `spec.references[reference]`.
