@@ -18,6 +18,32 @@ constexpr uint64_t kEndMarker = 0x4B524D444E455742ULL;  // "BWENDMRK"
 // not read it whole looking for one.
 constexpr size_t kMaxMagicLineBytes = 256;
 
+Status CheckMagicLine(std::istream& in, std::string_view magic,
+                      const std::string& path) {
+  std::string line;
+  bool newline = false;
+  char c = 0;
+  while (line.size() < kMaxMagicLineBytes && in.get(c)) {
+    if (c == '\n') {
+      newline = true;
+      break;
+    }
+    line.push_back(c);
+  }
+  if (line.empty() && !newline) {
+    return Status::IoError(path + ": empty file, expected " +
+                           std::string(magic));
+  }
+  if (line == magic) return Status::OK();
+  if (line.rfind("bellwether-", 0) == 0) {
+    return Status::FailedPrecondition(path + ": format '" + line +
+                                      "' does not match expected '" +
+                                      std::string(magic) + "'");
+  }
+  return Status::InvalidArgument(path + ": not a " + std::string(magic) +
+                                 " file");
+}
+
 }  // namespace
 
 ChecksummedWriter::ChecksummedWriter(std::ostream& out)
@@ -97,32 +123,6 @@ Status ChecksummedReader::FromStream(char* dst, size_t bytes) {
   unread_ -= bytes;
   crc_ = Crc32c(crc_, dst, bytes);
   return Status::OK();
-}
-
-Status CheckMagicLine(std::istream& in, std::string_view magic,
-                      const std::string& path) {
-  std::string line;
-  bool newline = false;
-  char c = 0;
-  while (line.size() < kMaxMagicLineBytes && in.get(c)) {
-    if (c == '\n') {
-      newline = true;
-      break;
-    }
-    line.push_back(c);
-  }
-  if (line.empty() && !newline) {
-    return Status::IoError(path + ": empty file, expected " +
-                           std::string(magic));
-  }
-  if (line == magic) return Status::OK();
-  if (line.rfind("bellwether-", 0) == 0) {
-    return Status::FailedPrecondition(path + ": format '" + line +
-                                      "' does not match expected '" +
-                                      std::string(magic) + "'");
-  }
-  return Status::InvalidArgument(path + ": not a " + std::string(magic) +
-                                 " file");
 }
 
 Status WriteChecksummedFile(

@@ -119,14 +119,7 @@ class ChecksummedReader {
   uint32_t crc_ = 0;
 };
 
-/// Reads the text magic line that starts every bellwether artifact. An
-/// artifact of the wrong kind or version is kFailedPrecondition (the caller
-/// picked the wrong loader, or the file predates the current format);
-/// anything else is kInvalidArgument, and an empty file kIoError.
-Status CheckMagicLine(std::istream& in, std::string_view magic,
-                      const std::string& path);
-
-/// Binary artifact framing of the bellwether state file:
+/// Binary framing of every bellwether artifact (tree, cube, state):
 ///
 ///   <magic>\n                text line, outside the checksum
 ///   body                     raw little-endian fields (write_body)
@@ -138,10 +131,13 @@ Status WriteChecksummedFile(
     const std::string& path, std::string_view magic,
     const std::function<Status(ChecksummedWriter&)>& write_body);
 
-/// Streams a file written by WriteChecksummedFile through `read_body`. The
-/// end marker must follow the body, the CRC must match, and no byte may
-/// follow the trailer; each failure is kIoError. A body that reports an
-/// error stops the read with that error.
+/// Streams a file written by WriteChecksummedFile through `read_body`. A
+/// magic line naming another bellwether artifact kind or version is
+/// kFailedPrecondition, any other kInvalidArgument. The end marker must
+/// follow the body, the CRC must match, and no byte may follow the trailer;
+/// each failure, like an empty file, is kIoError. The CRC is compared only
+/// after `read_body` returns, so the body bounds its own counts; an error
+/// it reports stops the read.
 Status ReadChecksummedFile(
     const std::string& path, std::string_view magic,
     const std::function<Status(ChecksummedReader&)>& read_body);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <utility>
 
@@ -143,35 +144,7 @@ void FoldRows(const RegionTrainingSet& set,
   AddListedRows(set, *lists, stats->data());
 }
 
-RegionRowsVisitor SourceRowsVisitor(storage::TrainingDataSource* source) {
-  // region -> source index, sorted once; shared so the visitor is copyable.
-  auto region_index =
-      std::make_shared<std::vector<std::pair<olap::RegionId, size_t>>>();
-  const auto ids = source->RegionIds();
-  region_index->reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    region_index->emplace_back(ids[i], i);
-  }
-  std::sort(region_index->begin(), region_index->end());
-  return [source, region_index](
-             olap::RegionId region,
-             const std::function<Status(const RegionTrainingSet&)>& fn)
-             -> Status {
-    auto it = std::lower_bound(region_index->begin(), region_index->end(),
-                               std::make_pair(region, size_t{0}));
-    if (it == region_index->end() || it->first != region) {
-      return Status::OK();  // region not materialized: cell goes without CV
-    }
-    BW_ASSIGN_OR_RETURN(RegionTrainingSet set, source->Read(it->second));
-    return fn(set);
-  };
-}
-
-Result<CubeCell> BuildCubeCell(SubsetId sid, int32_t subset_size,
-                               const Pick& pick, const CubeBuildConfig& config,
-                               const std::vector<uint8_t>* item_mask,
-                               const ItemSubsetSpace& subsets,
-                               const RegionRowsVisitor& rows) {
+CubeCell BuildCubeCell(SubsetId sid, int32_t subset_size, const Pick& pick) {
   CubeCell cell;
   cell.subset = sid;
   cell.subset_size = subset_size;
@@ -203,28 +176,28 @@ Result<CubeCell> BuildCubeCell(SubsetId sid, int32_t subset_size,
       cell.degradation = fit.value().degradation;
     }
   }
-  if (cell.has_model && config.compute_cv_stats && rows != nullptr) {
-    BW_RETURN_IF_ERROR(
-        rows(cell.region, [&](const RegionTrainingSet& set) -> Status {
-          std::vector<uint32_t> list;
-          for (size_t r = 0; r < set.num_examples(); ++r) {
-            const int32_t item = set.items[r];
-            if (ItemMasked(item_mask, item)) continue;
-            if (!subsets.SubsetContainsItem(sid, item)) continue;
-            list.push_back(static_cast<uint32_t>(r));
-          }
-          Rng rng(RegionSeed(config.seed ^ static_cast<uint64_t>(sid),
-                             cell.region));
-          auto cv = regression::CrossValidationError(RowsOf(set, &list),
-                                                     config.cv_folds, &rng);
-          if (cv.ok()) {
-            cell.cv = *cv;
-            cell.has_cv = true;
-          }
-          return Status::OK();
-        }));
-  }
   return cell;
+}
+
+void CrossValidateCell(const RegionTrainingSet& set,
+                       const CubeBuildConfig& config,
+                       const std::vector<uint8_t>* item_mask,
+                       const ItemSubsetSpace& subsets, CubeCell* cell) {
+  std::vector<uint32_t> list;
+  for (size_t r = 0; r < set.num_examples(); ++r) {
+    const int32_t item = set.items[r];
+    if (ItemMasked(item_mask, item)) continue;
+    if (!subsets.SubsetContainsItem(cell->subset, item)) continue;
+    list.push_back(static_cast<uint32_t>(r));
+  }
+  Rng rng(RegionSeed(config.seed ^ static_cast<uint64_t>(cell->subset),
+                     cell->region));
+  auto cv = regression::CrossValidationError(RowsOf(set, &list),
+                                             config.cv_folds, &rng);
+  if (cv.ok()) {
+    cell->cv = *cv;
+    cell->has_cv = true;
+  }
 }
 
 Result<BellwetherCube> AssembleCube(
@@ -294,7 +267,8 @@ namespace {
 
 // Converts per-subset picks into the final cube: the cell-derivation and
 // assembly phases back-to-back, for the builders that hold their picks in a
-// local vector. The CV post-pass reads rows back from `source`.
+// local vector. The CV post-pass reads each model-bearing cell's region
+// back from `source`, one Read per cell.
 Result<BellwetherCube> FinalizeCube(
     std::string_view builder_name, storage::TrainingDataSource* source,
     std::shared_ptr<const ItemSubsetSpace> subsets,
@@ -303,18 +277,22 @@ Result<BellwetherCube> FinalizeCube(
     const std::vector<SubsetId>& significant,
     std::vector<internal::Pick> picks, CubeBuildTelemetry telemetry,
     const Stopwatch& build_watch) {
-  internal::RegionRowsVisitor rows;
+  // region -> source index, filled only when the CV post-pass runs.
+  std::map<olap::RegionId, size_t> index_of;
   if (config.compute_cv_stats) {
-    rows = internal::SourceRowsVisitor(source);
+    const std::vector<olap::RegionId> ids = source->RegionIds();
+    for (size_t i = 0; i < ids.size(); ++i) index_of.emplace(ids[i], i);
   }
   std::vector<CubeCell> cells;
   cells.reserve(significant.size());
   for (size_t k = 0; k < significant.size(); ++k) {
     const SubsetId sid = significant[k];
-    BW_ASSIGN_OR_RETURN(
-        CubeCell cell,
-        internal::BuildCubeCell(sid, sizes[sid], picks[k], config, item_mask,
-                                *subsets, rows));
+    CubeCell cell = internal::BuildCubeCell(sid, sizes[sid], picks[k]);
+    const auto it = index_of.find(cell.region);
+    if (cell.has_model && it != index_of.end()) {
+      BW_ASSIGN_OR_RETURN(RegionTrainingSet set, source->Read(it->second));
+      internal::CrossValidateCell(set, config, item_mask, *subsets, &cell);
+    }
     cells.push_back(std::move(cell));
   }
   return internal::AssembleCube(builder_name, std::move(subsets), config,
@@ -523,6 +501,9 @@ Result<BellwetherCube> BuildBellwetherCubeNaive(
     std::shared_ptr<const ItemSubsetSpace> subsets,
     const CubeBuildConfig& config, const std::vector<uint8_t>* item_mask) {
   obs::TraceSpan span("BuildBellwetherCubeNaive", "cube");
+  if (subsets == nullptr) {
+    return Status::InvalidArgument("null item subset space");
+  }
   Stopwatch build_watch;
   CubeBuildTelemetry telemetry;
   const std::vector<int32_t> sizes =
@@ -644,6 +625,9 @@ Result<BellwetherCube> BuildBellwetherCubeOptimized(
     std::shared_ptr<const ItemSubsetSpace> subsets,
     const CubeBuildConfig& config, const std::vector<uint8_t>* item_mask) {
   obs::TraceSpan span("BuildBellwetherCubeOptimized", "cube");
+  if (subsets == nullptr) {
+    return Status::InvalidArgument("null item subset space");
+  }
   Stopwatch build_watch;
   CubeBuildTelemetry telemetry;
   const std::vector<int32_t> sizes =

@@ -229,6 +229,8 @@ class BellwetherCube {
   obs::RunReport build_report_;
 };
 
+// The three cube builders return kInvalidArgument when `subsets` is null.
+
 /// Naive algorithm (§6.2): one basic bellwether search per significant
 /// subset, each issuing per-region reads against the source.
 Result<BellwetherCube> BuildBellwetherCubeNaive(
@@ -239,8 +241,7 @@ Result<BellwetherCube> BuildBellwetherCubeNaive(
 
 /// Single-scan algorithm (§6.3, Fig. 7): one sequential scan; per region,
 /// builds a model for each significant subset independently. Identical
-/// output to the naive algorithm (Lemma 2). kInvalidArgument when `subsets`
-/// is null.
+/// output to the naive algorithm (Lemma 2).
 Result<BellwetherCube> BuildBellwetherCubeSingleScan(
     storage::TrainingDataSource* source,
     std::shared_ptr<const ItemSubsetSpace> subsets,

@@ -290,24 +290,12 @@ Status BellwetherState::ApplyDelta(std::vector<RegionTrainingSet> batch) {
   return Status::OK();
 }
 
-internal::RegionRowsVisitor BellwetherState::SlotRowsVisitor() const {
-  return [this](olap::RegionId region,
-                const std::function<Status(const RegionTrainingSet&)>& fn)
-             -> Status {
-    auto it = slots_.find(region);
-    if (it == slots_.end()) return Status::OK();
-    return fn(it->second.rows);
-  };
-}
-
 Result<BellwetherCube> BellwetherState::Finalize() {
   obs::TraceSpan span("BellwetherState::Finalize", "state");
   Stopwatch finalize_watch;
   const CubeBuildConfig& config = options_.config;
   const std::vector<uint8_t>* mask = has_mask_ ? &item_mask_ : nullptr;
   const size_t nsig = significant_.size();
-  internal::RegionRowsVisitor rows;
-  if (config.compute_cv_stats) rows = SlotRowsVisitor();
   int64_t rederived = 0;
   int64_t reused = 0;
   for (size_t k = 0; k < nsig; ++k) {
@@ -326,10 +314,11 @@ Result<BellwetherCube> BellwetherState::Finalize() {
     for (const auto& [region, slot] : slots_) {
       pick.Offer(slot.errors[k], region, slot.stats[k]);
     }
-    BW_ASSIGN_OR_RETURN(
-        CubeCell cell,
-        internal::BuildCubeCell(sid, sizes_[sid], pick, config, mask,
-                                *subsets_, rows));
+    CubeCell cell = internal::BuildCubeCell(sid, sizes_[sid], pick);
+    if (cell.has_model && config.compute_cv_stats) {
+      internal::CrossValidateCell(slots_.at(cell.region).rows, config, mask,
+                                  *subsets_, &cell);
+    }
     cell_cache_[k] = std::move(cell);
     ++rederived;
   }
@@ -450,7 +439,7 @@ Result<std::unique_ptr<BellwetherState>> BellwetherState::Open(
 //            and the regression/suff_stats_io.h encoding
 //   rows     the region's retained rows as one spill-file record
 //            (storage::WriteRegionRecord, RegionTrainingSet::ByteSize bytes)
-Status BellwetherState::SerializeTo(ChecksummedWriter& out) const {
+void BellwetherState::SerializeTo(ChecksummedWriter& out) const {
   const CubeBuildConfig& c = options_.config;
   out.Put(fingerprint_);
   out.Put(c.min_subset_size);
@@ -466,9 +455,6 @@ Status BellwetherState::SerializeTo(ChecksummedWriter& out) const {
   out.Put(num_features_);
   out.Put(delta_batches_);
   out.Put(static_cast<int64_t>(slots_.size()));
-  // Injected failure partway through the body: the save must keep the
-  // previous file (common/atomic_file.h).
-  BW_RETURN_IF_ERROR(robust::MaybeInjectIo(robust::kFaultArtifactWrite));
   for (const auto& [region, slot] : slots_) {
     // Only touched accumulators hit the wire (arity 0 marks untouched); the
     // dense remainder is reconstructed on load. Errors are not persisted —
@@ -486,7 +472,6 @@ Status BellwetherState::SerializeTo(ChecksummedWriter& out) const {
     }
     storage::WriteRegionRecord(out, slot.rows);
   }
-  return Status::OK();
 }
 
 Result<std::unique_ptr<BellwetherState>> BellwetherState::DeserializeFrom(

@@ -112,7 +112,7 @@ class BellwetherState {
   /// Binary body of the state file (inside the checksummed framing); used
   /// by model_io. DeserializeFrom keeps every structural check of the
   /// format and bounds each count by the bytes left before it allocates.
-  Status SerializeTo(ChecksummedWriter& out) const;
+  void SerializeTo(ChecksummedWriter& out) const;
   static Result<std::unique_ptr<BellwetherState>> DeserializeFrom(
       ChecksummedReader& in, std::shared_ptr<const ItemSubsetSpace> subsets);
 
@@ -151,7 +151,6 @@ class BellwetherState {
   RegionSlot& SlotFor(olap::RegionId region, int32_t num_features);
   Status ValidateDeltaBatch(
       const std::vector<storage::RegionTrainingSet>& batch) const;
-  internal::RegionRowsVisitor SlotRowsVisitor() const;
 
   // ---- Immutable after Init ----
   std::shared_ptr<const ItemSubsetSpace> subsets_;

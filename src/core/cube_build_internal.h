@@ -2,7 +2,6 @@
 #define BELLWETHER_CORE_CUBE_BUILD_INTERNAL_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string_view>
@@ -84,32 +83,19 @@ void FoldRows(const storage::RegionTrainingSet& set,
               RowLists* lists,
               std::vector<regression::RegressionSuffStats>* stats);
 
-/// Access to a region's raw training rows for the CV post-pass, abstracted
-/// over where the rows live (a TrainingDataSource for the builders, retained
-/// in-memory rows for BellwetherState). Contract: a region with no
-/// rows available returns OK *without* invoking the callback (the cell just
-/// goes without CV stats); any other error propagates.
-using RegionRowsVisitor = std::function<Status(
-    olap::RegionId,
-    const std::function<Status(const storage::RegionTrainingSet&)>&)>;
+/// Derives one cube cell from its subset's Pick: fits the min-error
+/// candidate (graceful degradation), or the most-examples candidate when no
+/// region had finite error. Pure with respect to build telemetry, which
+/// AssembleCube recounts from the finished cells.
+CubeCell BuildCubeCell(SubsetId sid, int32_t subset_size, const Pick& pick);
 
-/// RegionRowsVisitor over a TrainingDataSource: one Read per visited region
-/// (preserving the fig11 I/O accounting of the historical CV post-pass).
-/// Calls source->RegionIds() at construction — callers gate construction on
-/// config.compute_cv_stats.
-RegionRowsVisitor SourceRowsVisitor(storage::TrainingDataSource* source);
-
-/// Derives one cube cell from its subset's Pick: fit the min-error
-/// candidate (graceful degradation), fall back to the most-examples
-/// candidate when no region had finite error, then attach cross-validated
-/// error statistics via `rows` (may be null when CV is off). Pure with
-/// respect to build telemetry — AssembleCube re-derives the degradation
-/// counters from the finished cells.
-Result<CubeCell> BuildCubeCell(SubsetId sid, int32_t subset_size,
-                               const Pick& pick, const CubeBuildConfig& config,
-                               const std::vector<uint8_t>* item_mask,
-                               const ItemSubsetSpace& subsets,
-                               const RegionRowsVisitor& rows);
+/// The CV step of a model-bearing cell: k-fold CV error over `set`, its
+/// region's training rows, skipping masked items and items outside the
+/// cell's subset. A CV that fails leaves the cell without CV stats.
+void CrossValidateCell(const storage::RegionTrainingSet& set,
+                       const CubeBuildConfig& config,
+                       const std::vector<uint8_t>* item_mask,
+                       const ItemSubsetSpace& subsets, CubeCell* cell);
 
 /// Assembles finished cells into the final cube: subset -> cell index,
 /// telemetry completion (cell counts, degradation counters recounted from

@@ -12,17 +12,19 @@ namespace bellwether::core {
 
 /// Serialization of fitted bellwether artifacts, so analysis (expensive,
 /// over the historical warehouse) and prediction (cheap, per new item) can
-/// run in separate processes. Trees and cubes use a line-oriented text
-/// format: human-inspectable, versioned, and stable across platforms.
-/// The incremental state, which holds every retained row, uses a
-/// CRC-checked binary body instead (common/checksummed_io.h). Every writer
-/// replaces its file atomically (common/atomic_file.h).
+/// run in separate processes. Trees, cubes and the incremental state share
+/// the checksummed framing of common/checksummed_io.h and are replaced
+/// atomically. A loader returns what was saved or fails: kIoError for a
+/// truncated or corrupt file, kFailedPrecondition for another kind or
+/// version. Inspect a saved artifact through its loader
+/// (BellwetherTree::ToString, BellwetherCube::CrossTab, cube_explorer).
 
 /// ---- Bellwether trees ----
 
 /// Writes the full tree: structure, splits, per-node bellwether payloads,
 /// and the split-feature dictionary (so routing works after loading against
-/// the same item table).
+/// the same item table). Node depths are not stored; the loader derives
+/// them from the child links.
 Status SaveBellwetherTree(const BellwetherTree& tree,
                           const std::string& path);
 
@@ -43,8 +45,10 @@ Status SaveBellwetherCube(const BellwetherCube& cube,
                           const std::string& path);
 
 /// Loads a cube saved by SaveBellwetherCube. The subset space must be
-/// recreated from the same item table and hierarchies. Model-bearing cells
-/// whose models differ in length are kInvalidArgument.
+/// recreated from the same item table and hierarchies. kInvalidArgument for
+/// a null subset space, a subset space of another size, cells that are not
+/// in strictly ascending subset order (one per subset, as every builder
+/// emits them), or model-bearing cells whose models differ in length.
 Result<BellwetherCube> LoadBellwetherCube(
     const std::string& path,
     std::shared_ptr<const ItemSubsetSpace> subsets);
@@ -54,18 +58,15 @@ Result<BellwetherCube> LoadBellwetherCube(
 class BellwetherState;
 
 /// Writes an open incremental BellwetherState ("bellwether-state-v4":
-/// packed-triangle sufficient statistics plus retained per-region rows, as
-/// raw doubles under a CRC-32C trailer) atomically, so a crash mid-save
-/// never clobbers the previous good state. Counts
-/// bellwether_state_saves_total.
+/// packed-triangle sufficient statistics plus retained per-region rows).
+/// Counts bellwether_state_saves_total.
 Status SaveBellwetherState(const BellwetherState& state,
                            const std::string& path);
 
 /// Reopens a state saved by SaveBellwetherState against the recreated
 /// subset space. The stored fingerprint must match the one recomputed from
-/// the space, config, and mask (kFailedPrecondition otherwise); a
-/// truncated or corrupt file, including a checksum mismatch, is kIoError.
-/// Counts bellwether_state_opens_total.
+/// the space, config, and mask (kFailedPrecondition otherwise). Counts
+/// bellwether_state_opens_total.
 Result<std::unique_ptr<BellwetherState>> LoadBellwetherState(
     const std::string& path, std::shared_ptr<const ItemSubsetSpace> subsets);
 

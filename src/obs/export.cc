@@ -3,7 +3,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <ostream>
 
+#include "common/atomic_file.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -21,15 +23,10 @@ std::string DeriveTracePath(const std::string& metrics_path) {
 }
 
 Status WriteTextFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot create " + path + ": " +
-                           std::strerror(errno));
-  }
-  const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  const bool ok = written == content.size() && std::fclose(f) == 0;
-  if (!ok) return Status::IoError("short write to " + path);
-  return Status::OK();
+  return WriteFileAtomically(path, [&](std::ostream& out) {
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
+    return Status::OK();
+  });
 }
 
 Result<std::string> ReadTextFile(const std::string& path) {

@@ -19,7 +19,7 @@ std::string DeriveTracePath(const std::string& metrics_path);
 Status DumpDefaultTelemetry(const std::string& metrics_path,
                             const std::string& trace_path = "");
 
-/// Writes `content` to `path`, truncating.
+/// Replaces `path` with `content`, atomically (common/atomic_file.h).
 Status WriteTextFile(const std::string& path, const std::string& content);
 
 /// Reads `path` in full (benchdiff loads run reports with this).

@@ -186,6 +186,9 @@ std::vector<olap::RegionId> MemoryTrainingData::RegionIds() {
 
 Result<std::unique_ptr<SpillFileWriter>> SpillFileWriter::Create(
     const std::string& path) {
+  // The one file not written through WriteFileAtomically: it streams region
+  // by region rather than from one body callback, it is read back by offset,
+  // and its reader is the hottest I/O path of a spilled build.
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     return Status::IoError("cannot create spill file " + path + ": " +

@@ -7,11 +7,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
+#include <ostream>
 #include <string_view>
 #include <vector>
 
+#include "common/atomic_file.h"
 #include "common/string_util.h"
 #include "obs/logger.h"
 #include "obs/metrics.h"
@@ -38,29 +39,24 @@ std::string QuoteField(const std::string& s) {
 }  // namespace
 
 Status WriteCsv(const Table& t, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::IoError("cannot open for write: " + path + ": " +
-                           std::strerror(errno));
-  }
-  for (size_t c = 0; c < t.schema().num_fields(); ++c) {
-    if (c) out << ',';
-    out << t.schema().field(c).name;
-  }
-  out << '\n';
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    for (size_t c = 0; c < t.num_columns(); ++c) {
+  return WriteFileAtomically(path, [&](std::ostream& out) {
+    for (size_t c = 0; c < t.schema().num_fields(); ++c) {
       if (c) out << ',';
-      const Value v = t.ValueAt(r, c);
-      if (v.is_null()) continue;
-      const std::string s = v.ToString();
-      out << (NeedsQuoting(s) ? QuoteField(s) : s);
+      out << t.schema().field(c).name;
     }
     out << '\n';
-  }
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      for (size_t c = 0; c < t.num_columns(); ++c) {
+        if (c) out << ',';
+        const Value v = t.ValueAt(r, c);
+        if (v.is_null()) continue;
+        const std::string s = v.ToString();
+        out << (NeedsQuoting(s) ? QuoteField(s) : s);
+      }
+      out << '\n';
+    }
+    return Status::OK();
+  });
 }
 
 namespace {

@@ -9,8 +9,9 @@
 
 namespace bellwether::table {
 
-/// Writes `t` as CSV with a header row. Strings containing commas, quotes, or
-/// newlines are quoted; nulls are written as empty fields.
+/// Writes `t` as CSV with a header row, replacing `path` atomically
+/// (common/atomic_file.h). Strings containing commas, quotes, or newlines
+/// are quoted; nulls are written as empty fields.
 Status WriteCsv(const Table& t, const std::string& path);
 
 struct CsvReadOptions {

@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "core/bellwether_cube.h"
+#include "core/bellwether_state.h"
 #include "core/eval_util.h"
+#include "core/model_io.h"
 #include "datagen/simulation.h"
 #include "storage/training_data.h"
+#include "test_util.h"
 
 namespace bellwether::core {
 namespace {
@@ -228,6 +233,32 @@ TEST(CubeTest, CvStatsPopulatedWhenRequested) {
     }
   }
   EXPECT_GT(with_cv, 0);
+}
+
+TEST(CubeTest, NullSubsetSpaceIsInvalidArgument) {
+  datagen::SimulationDataset sim = MakeSim(13);
+  storage::MemoryTrainingData source(sim.sets);
+  const CubeBuildConfig config = MakeConfig(true);
+  const auto expect_invalid = [](const Status& status, const char* what) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << what << ": " << status.ToString();
+  };
+  expect_invalid(BuildBellwetherCubeNaive(&source, nullptr, config).status(),
+                 "naive");
+  expect_invalid(
+      BuildBellwetherCubeSingleScan(&source, nullptr, config).status(),
+      "single scan");
+  expect_invalid(
+      BuildBellwetherCubeOptimized(&source, nullptr, config).status(),
+      "optimized");
+  expect_invalid(BellwetherState::Init(nullptr, {}).status(), "state");
+  // The loader, on a valid saved cube.
+  auto cube = BuildBellwetherCubeOptimized(&source, MakeSubsets(sim), config);
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  const std::string path = TestTempPath("null_subsets.bwc");
+  ASSERT_TRUE(SaveBellwetherCube(*cube, path).ok());
+  expect_invalid(LoadBellwetherCube(path, nullptr).status(), "loader");
+  std::remove(path.c_str());
 }
 
 TEST(CubeTest, CrossTabRollupAndDrilldown) {

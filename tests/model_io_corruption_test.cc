@@ -1,9 +1,10 @@
-// Corruption hardening of the tree/cube/state loaders: truncated files and
-// byte flips fail with clean statuses (never a crash or a partial object;
-// the checksummed state file rejects every flip), version-mismatched
-// headers are told apart from garbage, implausible counts are rejected
-// before allocation, non-finite values round-trip, and a tree that could
-// not route, or models of mixed length, are rejected.
+// Corruption hardening of the tree/cube/state loaders, which share one
+// checksummed framing: truncated files fail with clean statuses (never a
+// crash or a partial object), every byte flip is rejected, version-
+// mismatched headers are told apart from garbage, implausible counts are
+// rejected before allocation, non-finite values round-trip, and a tree
+// that could not route, cube cells out of subset order, or models of mixed
+// length are rejected.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -59,8 +61,115 @@ datagen::SimulationDataset MakeSim(uint64_t seed) {
   return datagen::GenerateSimulation(config);
 }
 
-// The split columns of the hand-written trees below: numeric x,
-// categorical c.
+template <typename T>
+void PatchField(std::string* bytes, size_t offset, T v) {
+  std::memcpy(bytes->data() + offset, &v, sizeof(v));
+}
+
+template <typename T>
+T FieldAt(const std::string& bytes, size_t offset) {
+  T v{};
+  std::memcpy(&v, bytes.data() + offset, sizeof(v));
+  return v;
+}
+
+// Rewrites the CRC-32C trailer, so an edited body passes the checksum and
+// only the loader's other checks can reject it.
+void RefreshTrailer(std::string* bytes) {
+  const size_t body = bytes->find('\n') + 1;
+  const uint32_t crc =
+      Crc32c(0, bytes->data() + body, bytes->size() - body - sizeof(crc));
+  PatchField(bytes, bytes->size() - sizeof(crc), crc);
+}
+
+// Walks an artifact body field by field from the end of its magic line,
+// recording the offset after each field.
+class FieldWalker {
+ public:
+  explicit FieldWalker(const std::string& bytes)
+      : bytes_(bytes), pos_(bytes.find('\n') + 1), boundaries_{pos_} {}
+
+  template <typename T>
+  T Read() {
+    const T v = FieldAt<T>(bytes_, pos_);
+    Skip(sizeof(T));
+    return v;
+  }
+  void Skip(size_t bytes) {
+    pos_ += bytes;
+    boundaries_.push_back(pos_);
+  }
+  size_t pos() const { return pos_; }
+  const std::vector<size_t>& boundaries() const { return boundaries_; }
+
+ private:
+  const std::string& bytes_;
+  size_t pos_;
+  std::vector<size_t> boundaries_;
+};
+
+// Field boundaries of a tree or cube file up to the end of its first node
+// or cell, walked with the documented v3 layout, and the offset of that
+// record's model length.
+struct FirstRecord {
+  std::vector<size_t> boundaries;
+  size_t model_at = 0;
+};
+
+FirstRecord WalkFirstNode(const std::string& bytes) {
+  FieldWalker w(bytes);
+  const auto num_columns = w.Read<int64_t>();
+  for (int64_t c = 0; c < num_columns; ++c) w.Skip(w.Read<int64_t>());
+  w.Read<int64_t>();  // node count
+  w.Read<int32_t>();  // num_items
+  w.Read<uint8_t>();  // has_model
+  w.Read<int64_t>();  // region
+  w.Read<uint8_t>();  // degradation
+  w.Read<double>();   // error
+  w.Read<double>();   // goodness
+  const size_t model_at = w.pos();
+  w.Skip(sizeof(double) * w.Read<int64_t>());
+  w.Read<int32_t>();  // split column
+  w.Read<uint8_t>();  // is_numeric
+  w.Read<double>();   // threshold
+  w.Read<int32_t>();  // num_partitions
+  w.Skip(sizeof(int32_t) * w.Read<int64_t>());  // children
+  return {w.boundaries(), model_at};
+}
+
+FirstRecord WalkFirstCell(const std::string& bytes) {
+  FieldWalker w(bytes);
+  w.Read<int64_t>();  // subset count
+  w.Read<int64_t>();  // cell count
+  w.Read<int64_t>();  // subset
+  w.Read<int32_t>();  // subset_size
+  w.Read<uint8_t>();  // has_model
+  w.Read<int64_t>();  // region
+  w.Read<uint8_t>();  // degradation
+  w.Read<uint8_t>();  // fallback_pick
+  w.Read<double>();   // error
+  w.Read<uint8_t>();  // has_cv
+  w.Read<double>();   // cv rmse
+  w.Read<double>();   // cv stddev
+  w.Read<int32_t>();  // cv folds
+  const size_t model_at = w.pos();
+  w.Skip(sizeof(double) * w.Read<int64_t>());
+  return {w.boundaries(), model_at};
+}
+
+// Cut points of a truncation test: the empty file, every field boundary of
+// the header and first record, the end marker and the trailer.
+std::vector<size_t> CutPoints(const std::string& bytes,
+                              const FirstRecord& first) {
+  const size_t size = bytes.size();
+  EXPECT_LT(first.boundaries.back(), size - 12);
+  std::vector<size_t> cuts{0};
+  cuts.insert(cuts.end(), first.boundaries.begin(), first.boundaries.end());
+  cuts.insert(cuts.end(), {size - 12, size - 8, size - 4, size - 1});
+  return cuts;
+}
+
+// The split columns of the trees below: numeric x, categorical c.
 table::Table SplitItems() {
   table::Table items(table::Schema(
       {{"x", table::DataType::kDouble}, {"c", table::DataType::kString}}));
@@ -69,19 +178,35 @@ table::Table SplitItems() {
   return items;
 }
 
-// A three-node tree over SplitItems(): the root splits on column
+// Saves a three-node tree over SplitItems(): the root splits on column
 // `split_column` (numeric when `is_numeric`, threshold 0.5) into nodes
-// `first_child` and 2. TwoLeafTree(1, 0, 1) is valid.
-std::string TwoLeafTree(int first_child, int split_column, int is_numeric) {
-  std::ostringstream out;
-  out << "bellwether-tree-v2\n2\nx\nc\n3\n"
-      << "0 2 1 4 0 0.5 0.25\n1 1.5\n"
-      << split_column << ' ' << is_numeric << " 0.5 2\n"
-      << "2 " << first_child << " 2\n";
-  for (int leaf = 0; leaf < 2; ++leaf) {
-    out << "1 1 1 4 0 0.5 0\n1 1.5\n-1 0 0 0\n0\n";
-  }
-  return out.str();
+// `first_child` and 2; SaveTwoLeafTree(path, 1, 0, true) saves a valid
+// one. The writer does not validate, so the loader has to.
+void SaveTwoLeafTree(const std::string& path, int32_t first_child,
+                     int32_t split_column, bool is_numeric) {
+  auto feats = ItemSplitFeatures::Create(SplitItems(), {"x", "c"});
+  ASSERT_TRUE(feats.ok()) << feats.status().ToString();
+  TreeNode root;
+  root.num_items = 2;
+  root.has_model = true;
+  root.region = 4;
+  root.error = 0.5;
+  root.goodness = 0.25;
+  root.model = regression::LinearModel({1.5});
+  root.split.column = split_column;
+  root.split.is_numeric = is_numeric;
+  root.split.threshold = 0.5;
+  root.split.num_partitions = 2;
+  root.children = {first_child, 2};
+  TreeNode leaf;
+  leaf.num_items = 1;
+  leaf.has_model = true;
+  leaf.region = 4;
+  leaf.error = 0.5;
+  leaf.model = regression::LinearModel({1.5});
+  ASSERT_TRUE(
+      SaveBellwetherTree(BellwetherTree(*feats, {root, leaf, leaf}), path)
+          .ok());
 }
 
 // Cube files need a subset space to get past their header.
@@ -92,16 +217,52 @@ std::shared_ptr<const ItemSubsetSpace> SimSubsets(
   return subsets.ok() ? *subsets : nullptr;
 }
 
+BellwetherTree SimTree(const datagen::SimulationDataset& sim) {
+  storage::MemoryTrainingData source(sim.sets);
+  TreeBuildConfig config;
+  config.split_columns = sim.feature_columns;
+  config.min_items = 40;
+  config.max_depth = 3;
+  config.min_examples_per_model = 10;
+  auto tree = BuildBellwetherTreeRainForest(&source, sim.items, config);
+  EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+  return std::move(tree).value();
+}
+
+BellwetherCube SimCube(const datagen::SimulationDataset& sim,
+                       std::shared_ptr<const ItemSubsetSpace> subsets) {
+  storage::MemoryTrainingData source(sim.sets);
+  CubeBuildConfig config;
+  config.min_subset_size = 20;
+  config.min_examples_per_model = 8;
+  config.compute_cv_stats = false;
+  auto cube = BuildBellwetherCubeOptimized(&source, std::move(subsets), config);
+  EXPECT_TRUE(cube.ok()) << cube.status().ToString();
+  return std::move(cube).value();
+}
+
 TEST(ModelIoCorruptionTest, VersionMismatchIsFailedPrecondition) {
   const std::string path = TestTempPath("old_version.bwt");
-  WriteAll(path, "bellwether-tree-v1\n0\n1\n");
-  auto tree = LoadBellwetherTree(path, table::Table());
-  ASSERT_FALSE(tree.ok());
-  EXPECT_EQ(tree.status().code(), StatusCode::kFailedPrecondition);
-  WriteAll(path, "bellwether-cube-v1\n0 0\n");
-  auto cube = LoadBellwetherCube(path, nullptr);
-  ASSERT_FALSE(cube.ok());
-  EXPECT_EQ(cube.status().code(), StatusCode::kFailedPrecondition);
+  // v1, and the v2 text formats this binary one replaced: no migration
+  // reader.
+  for (const char* content :
+       {"bellwether-tree-v1\n0\n1\n",
+        "bellwether-tree-v2\n0\n1\n0 5 1 3 0 1 0\n1 1.5\n-1 0 0 0\n0\n"}) {
+    WriteAll(path, content);
+    auto tree = LoadBellwetherTree(path, table::Table());
+    ASSERT_FALSE(tree.ok()) << content;
+    EXPECT_EQ(tree.status().code(), StatusCode::kFailedPrecondition)
+        << content;
+  }
+  for (const char* content :
+       {"bellwether-cube-v1\n0 0\n",
+        "bellwether-cube-v2\n1 1\n0 20 1 3 0 0 1 0 0 0 0\n1 1.5\n"}) {
+    WriteAll(path, content);
+    auto cube = LoadBellwetherCube(path, nullptr);
+    ASSERT_FALSE(cube.ok()) << content;
+    EXPECT_EQ(cube.status().code(), StatusCode::kFailedPrecondition)
+        << content;
+  }
   std::remove(path.c_str());
 }
 
@@ -109,7 +270,7 @@ TEST(ModelIoCorruptionTest, WrongArtifactKindIsFailedPrecondition) {
   // A valid tree file handed to the cube loader: recognizably ours, but the
   // wrong kind — the caller picked the wrong loader, not a corrupt file.
   const std::string path = TestTempPath("kind.bwc");
-  WriteAll(path, "bellwether-tree-v2\n0\n1\n");
+  SaveTwoLeafTree(path, 1, 0, true);
   auto r = LoadBellwetherCube(path, nullptr);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
@@ -129,24 +290,36 @@ TEST(ModelIoCorruptionTest, GarbageMagicIsInvalidArgument) {
 }
 
 TEST(ModelIoCorruptionTest, ImplausibleVectorLengthIsRejected) {
-  // A corrupt model-vector length must not become a huge allocation.
+  // A corrupt model-vector length must not become a huge allocation. The
+  // trailer is recomputed, so only the bound on the bytes left catches it.
+  const auto expect_bound = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+    EXPECT_NE(status.message().find("bytes left"), std::string::npos)
+        << status.ToString();
+  };
   const std::string path = TestTempPath("huge.bwt");
-  WriteAll(path,
-           "bellwether-tree-v2\n0\n1\n0 5 1 3 0 1.0 0.0\n"
-           "9999999999999 1.5\n");
-  auto tree = LoadBellwetherTree(path, table::Table());
+  SaveTwoLeafTree(path, 1, 0, true);
+  std::string content = ReadAll(path);
+  PatchField<int64_t>(&content, WalkFirstNode(content).model_at,
+                      9999999999999);
+  RefreshTrailer(&content);
+  WriteAll(path, content);
+  auto tree = LoadBellwetherTree(path, SplitItems());
   ASSERT_FALSE(tree.ok());
-  EXPECT_EQ(tree.status().code(), StatusCode::kIoError);
+  expect_bound(tree.status());
 
   datagen::SimulationDataset sim = MakeSim(79);
   auto subsets = SimSubsets(sim);
   ASSERT_NE(subsets, nullptr);
-  WriteAll(path, "bellwether-cube-v2\n" +
-                     std::to_string(subsets->NumSubsets()) +
-                     " 1\n0 20 1 3 0 0 1.0 0 0 0 0\n9999999999999 1.5\n");
+  ASSERT_TRUE(SaveBellwetherCube(SimCube(sim, subsets), path).ok());
+  content = ReadAll(path);
+  PatchField<int64_t>(&content, WalkFirstCell(content).model_at,
+                      9999999999999);
+  RefreshTrailer(&content);
+  WriteAll(path, content);
   auto cube = LoadBellwetherCube(path, subsets);
   ASSERT_FALSE(cube.ok());
-  EXPECT_EQ(cube.status().code(), StatusCode::kIoError);
+  expect_bound(cube.status());
   std::remove(path.c_str());
 }
 
@@ -331,28 +504,34 @@ TEST(ModelIoCorruptionTest, CubeModelLengthsAreCheckedAtLoadAndPredict) {
 
 TEST(ModelIoCorruptionTest, HandWrittenTreeLoadsAndRoutes) {
   const std::string path = TestTempPath("routes.bwt");
-  WriteAll(path, TwoLeafTree(1, 0, 1));
+  SaveTwoLeafTree(path, 1, 0, true);
   auto tree = LoadBellwetherTree(path, SplitItems());
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   EXPECT_EQ(tree->RouteItem(0), 1);  // x = 0 < 0.5
   EXPECT_EQ(tree->RouteItem(1), 2);
+  EXPECT_EQ(tree->nodes()[2].depth, 1);  // derived from the child links
+  EXPECT_EQ(tree->NumLevels(), 2);
   std::remove(path.c_str());
 }
 
 TEST(ModelIoCorruptionTest, ChildNotAfterItsParentIsRejected) {
-  // A root listing itself as a child would send RouteItem round forever.
+  // A root listing itself as a child would send RouteItem round forever; a
+  // child past the last node would send it out of bounds.
   const std::string path = TestTempPath("cycle.bwt");
-  WriteAll(path, TwoLeafTree(0, 0, 1));
-  auto tree = LoadBellwetherTree(path, SplitItems());
-  ASSERT_FALSE(tree.ok());
-  EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
+  for (int32_t first_child : {0, 99}) {
+    SaveTwoLeafTree(path, first_child, 0, true);
+    auto tree = LoadBellwetherTree(path, SplitItems());
+    ASSERT_FALSE(tree.ok()) << "child " << first_child;
+    EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument)
+        << "child " << first_child;
+  }
   std::remove(path.c_str());
 }
 
 TEST(ModelIoCorruptionTest, SplitColumnOutOfRangeIsRejected) {
   const std::string path = TestTempPath("column.bwt");
-  for (int column : {7, 2, -1}) {
-    WriteAll(path, TwoLeafTree(1, column, 1));
+  for (int32_t column : {7, 2, -1}) {
+    SaveTwoLeafTree(path, 1, column, true);
     auto tree = LoadBellwetherTree(path, SplitItems());
     ASSERT_FALSE(tree.ok()) << "column " << column;
     EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument)
@@ -365,17 +544,45 @@ TEST(ModelIoCorruptionTest, SplitKindDisagreeingWithItsColumnIsRejected) {
   // A categorical split on numeric x, and a numeric split on categorical c:
   // either would read the column's empty storage vector.
   const std::string path = TestTempPath("kind.bwt");
-  for (const auto& [column, is_numeric] : {std::pair{0, 0}, std::pair{1, 1}}) {
-    WriteAll(path, TwoLeafTree(1, column, is_numeric));
+  for (const auto& [column, is_numeric] :
+       {std::pair{0, false}, std::pair{1, true}}) {
+    SaveTwoLeafTree(path, 1, column, is_numeric);
     auto tree = LoadBellwetherTree(path, SplitItems());
     ASSERT_FALSE(tree.ok()) << "column " << column;
     EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument)
         << "column " << column;
   }
   // The categorical split on c is fine.
-  WriteAll(path, TwoLeafTree(1, 1, 0));
+  SaveTwoLeafTree(path, 1, 1, false);
   auto tree = LoadBellwetherTree(path, SplitItems());
   EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+  std::remove(path.c_str());
+}
+
+// ---- Cubes ----
+
+TEST(ModelIoCorruptionTest, CellsOutOfSubsetOrderAreRejected) {
+  // Every builder emits one cell per significant subset, in ascending
+  // subset order. A second cell for one subset would hide from PredictItem
+  // and FindCell yet still be listed by CrossTab.
+  datagen::SimulationDataset sim = MakeSim(93);
+  auto subsets = SimSubsets(sim);
+  ASSERT_NE(subsets, nullptr);
+  const std::vector<CubeCell> cells = SimCube(sim, subsets).cells();
+  ASSERT_GE(cells.size(), 2u);
+  std::vector<CubeCell> duplicated = cells;
+  duplicated.insert(duplicated.begin() + 1, cells[0]);
+  std::vector<CubeCell> swapped = cells;
+  std::swap(swapped[0], swapped[1]);
+  const std::string path = TestTempPath("order.bwc");
+  for (auto* edited : {&duplicated, &swapped}) {
+    ASSERT_TRUE(
+        SaveBellwetherCube(CubeWithCells(subsets, *edited), path).ok());
+    auto r = LoadBellwetherCube(path, subsets);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  }
   std::remove(path.c_str());
 }
 
@@ -414,89 +621,67 @@ TEST(ModelIoCorruptionTest, DegradedCubeCellRoundTrips) {
 
 TEST(ModelIoCorruptionTest, TruncatedCubeFailsCleanlyAtEveryBoundary) {
   datagen::SimulationDataset sim = MakeSim(83);
-  auto subsets = ItemSubsetSpace::Create(sim.items, sim.item_hierarchies);
-  ASSERT_TRUE(subsets.ok());
-  storage::MemoryTrainingData source(sim.sets);
-  CubeBuildConfig config;
-  config.min_subset_size = 20;
-  config.min_examples_per_model = 8;
-  config.compute_cv_stats = false;
-  auto cube = BuildBellwetherCubeOptimized(&source, *subsets, config);
-  ASSERT_TRUE(cube.ok());
+  auto subsets = SimSubsets(sim);
+  ASSERT_NE(subsets, nullptr);
   const std::string path = TestTempPath("trunc.bwc");
-  ASSERT_TRUE(SaveBellwetherCube(*cube, path).ok());
+  ASSERT_TRUE(SaveBellwetherCube(SimCube(sim, subsets), path).ok());
   const std::string content = ReadAll(path);
-  ASSERT_GT(content.size(), 100u);
-
-  // Section boundaries: end of magic, end of header, mid first cell, and a
-  // cut inside the last cell's model vector.
-  const size_t magic_end = content.find('\n') + 1;
-  const size_t header_end = content.find('\n', magic_end) + 1;
-  for (size_t cut : {size_t{0}, magic_end, header_end, header_end + 10,
-                     content.size() / 2}) {
+  for (size_t cut : CutPoints(content, WalkFirstCell(content))) {
     WriteAll(path, content.substr(0, cut));
-    auto r = LoadBellwetherCube(path, *subsets);
+    auto r = LoadBellwetherCube(path, subsets);
     ASSERT_FALSE(r.ok()) << "cut at " << cut;
-    EXPECT_EQ(r.status().code(), StatusCode::kIoError) << "cut at " << cut;
+    EXPECT_EQ(r.status().code(), StatusCode::kIoError)
+        << "cut at " << cut << ": " << r.status().ToString();
   }
   std::remove(path.c_str());
 }
 
 TEST(ModelIoCorruptionTest, TruncatedTreeFailsCleanly) {
   datagen::SimulationDataset sim = MakeSim(85);
-  storage::MemoryTrainingData source(sim.sets);
-  TreeBuildConfig config;
-  config.split_columns = sim.feature_columns;
-  config.min_items = 40;
-  config.max_depth = 3;
-  config.min_examples_per_model = 10;
-  auto tree = BuildBellwetherTreeRainForest(&source, sim.items, config);
-  ASSERT_TRUE(tree.ok());
   const std::string path = TestTempPath("trunc.bwt");
-  ASSERT_TRUE(SaveBellwetherTree(*tree, path).ok());
+  ASSERT_TRUE(SaveBellwetherTree(SimTree(sim), path).ok());
   const std::string content = ReadAll(path);
-  // Section boundaries: after the magic (missing column count), after the
-  // column count (missing column names), and inside the first node header.
-  const size_t magic_end = content.find('\n') + 1;
-  const size_t col_count_end = content.find('\n', magic_end) + 1;
-  size_t nodes_start = col_count_end;
-  for (size_t i = 0; i < sim.feature_columns.size() + 1; ++i) {
-    nodes_start = content.find('\n', nodes_start) + 1;
-  }
-  for (size_t cut : {magic_end, col_count_end, nodes_start + 2}) {
+  for (size_t cut : CutPoints(content, WalkFirstNode(content))) {
     WriteAll(path, content.substr(0, cut));
     auto r = LoadBellwetherTree(path, sim.items);
     ASSERT_FALSE(r.ok()) << "cut at " << cut;
-    EXPECT_EQ(r.status().code(), StatusCode::kIoError) << "cut at " << cut;
+    EXPECT_EQ(r.status().code(), StatusCode::kIoError)
+        << "cut at " << cut << ": " << r.status().ToString();
   }
   std::remove(path.c_str());
 }
 
 TEST(ModelIoCorruptionTest, ByteFlipsNeverCrashTheLoader) {
+  // Stronger than "never crash": with the CRC-32C trailer no single-byte
+  // change of a tree or cube file loads. ASan/UBSan builds check that the
+  // loaders' own bounds hold before the checksum is compared.
   datagen::SimulationDataset sim = MakeSim(87);
-  storage::MemoryTrainingData source(sim.sets);
-  TreeBuildConfig config;
-  config.split_columns = sim.feature_columns;
-  config.min_items = 40;
-  config.max_depth = 3;
-  config.min_examples_per_model = 10;
-  auto tree = BuildBellwetherTreeRainForest(&source, sim.items, config);
-  ASSERT_TRUE(tree.ok());
-  const std::string path = TestTempPath("flip.bwt");
-  ASSERT_TRUE(SaveBellwetherTree(*tree, path).ok());
-  const std::string content = ReadAll(path);
-  // Overwrite single bytes with a value no valid token contains; the loader
-  // must return an error (or, for bytes in string sections, a clean load) —
-  // never crash or over-allocate. ASan/UBSan builds give this test teeth.
-  for (size_t pos = 0; pos < content.size();
-       pos += content.size() / 37 + 1) {
-    std::string flipped = content;
-    flipped[pos] = '\x01';
-    WriteAll(path, flipped);
-    auto r = LoadBellwetherTree(path, sim.items);
-    (void)r;  // any Status is acceptable; crashing is not
-  }
-  std::remove(path.c_str());
+  auto subsets = SimSubsets(sim);
+  ASSERT_NE(subsets, nullptr);
+  const std::string tree_path = TestTempPath("flip.bwt");
+  const std::string cube_path = TestTempPath("flip.bwc");
+  ASSERT_TRUE(SaveBellwetherTree(SimTree(sim), tree_path).ok());
+  ASSERT_TRUE(SaveBellwetherCube(SimCube(sim, subsets), cube_path).ok());
+  const auto flip_every_byte = [](const std::string& path, auto load) {
+    const std::string content = ReadAll(path);
+    for (size_t pos = 0; pos < content.size(); ++pos) {
+      std::string flipped = content;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ 0x5A);
+      WriteAll(path, flipped);
+      EXPECT_FALSE(load(path)) << path << ": flip at " << pos << " of "
+                               << content.size();
+    }
+    WriteAll(path, content);
+    EXPECT_TRUE(load(path)) << path;
+  };
+  flip_every_byte(tree_path, [&](const std::string& path) {
+    return LoadBellwetherTree(path, sim.items).ok();
+  });
+  flip_every_byte(cube_path, [&](const std::string& path) {
+    return LoadBellwetherCube(path, subsets).ok();
+  });
+  std::remove(tree_path.c_str());
+  std::remove(cube_path.c_str());
 }
 
 // ---- Binary sufficient-statistics codec ----
@@ -519,18 +704,6 @@ Result<regression::RegressionSuffStats> DecodeStats(const std::string& bytes) {
 constexpr size_t kStatsArityAt = 0;
 constexpr size_t kStatsCountAt = 4;
 constexpr size_t kStatsHeaderBytes = 4 + 8 + 8 + 8;
-
-template <typename T>
-void PatchField(std::string* bytes, size_t offset, T v) {
-  std::memcpy(bytes->data() + offset, &v, sizeof(v));
-}
-
-template <typename T>
-T FieldAt(const std::string& bytes, size_t offset) {
-  T v{};
-  std::memcpy(&v, bytes.data() + offset, sizeof(v));
-  return v;
-}
 
 TEST(SuffStatsIoTest, PackedStatsRoundTripForEveryArity) {
   Rng rng(123);
@@ -605,15 +778,6 @@ TEST(SuffStatsIoTest, ImplausibleCountsAreRejectedBeforeAllocation) {
 }
 
 // ---- Bellwether state files ----
-
-// Rewrites the CRC-32C trailer, so an edited body passes the checksum and
-// only the loader's other checks can reject it.
-void RefreshTrailer(std::string* bytes) {
-  const size_t body = bytes->find('\n') + 1;
-  const uint32_t crc =
-      Crc32c(0, bytes->data() + body, bytes->size() - body - sizeof(crc));
-  PatchField(bytes, bytes->size() - sizeof(crc), crc);
-}
 
 // Section boundaries of a state file (no item mask) up to the end of its
 // first region's retained rows, walked with the documented v4 layout.
@@ -791,23 +955,46 @@ TEST_F(StateFileTest, TrailingBytesAreRejected) {
 }
 
 TEST_F(StateFileTest, FailedSaveKeepsThePreviousFileAndLeavesNoTempFile) {
-  const std::string before = ReadAll(path_);
-  {
-    ScopedFaults faults("artifact.write:io@1");
-    const Status st = state_->Save(path_);
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), StatusCode::kIoError);
+  // The fault point fires at the start of every artifact body, so a tree
+  // and a cube save fail the same way a state save does.
+  const std::string tree_path = TestTempPath("failed_save.bwt");
+  const std::string cube_path = TestTempPath("failed_save.bwc");
+  const BellwetherTree tree = SimTree(sim_);
+  const BellwetherCube cube = SimCube(sim_, subsets_);
+  ASSERT_TRUE(SaveBellwetherTree(tree, tree_path).ok());
+  ASSERT_TRUE(SaveBellwetherCube(cube, cube_path).ok());
+  const struct {
+    std::string path;
+    std::function<Status()> save;
+    std::function<bool()> load;
+  } artifacts[] = {
+      {path_, [&] { return state_->Save(path_); },
+       [&] { return LoadBellwetherState(path_, subsets_).ok(); }},
+      {tree_path, [&] { return SaveBellwetherTree(tree, tree_path); },
+       [&] { return LoadBellwetherTree(tree_path, sim_.items).ok(); }},
+      {cube_path, [&] { return SaveBellwetherCube(cube, cube_path); },
+       [&] { return LoadBellwetherCube(cube_path, subsets_).ok(); }},
+  };
+  for (const auto& artifact : artifacts) {
+    const std::string before = ReadAll(artifact.path);
+    {
+      ScopedFaults faults("artifact.write:io@1");
+      const Status st = artifact.save();
+      ASSERT_FALSE(st.ok()) << artifact.path;
+      EXPECT_EQ(st.code(), StatusCode::kIoError) << artifact.path;
+    }
+    EXPECT_EQ(ReadAll(artifact.path), before) << artifact.path;
+    EXPECT_TRUE(artifact.load()) << artifact.path;
+    const std::filesystem::path target(artifact.path);
+    const std::string tmp_prefix = target.filename().string() + ".tmp";
+    for (const auto& entry :
+         std::filesystem::directory_iterator(target.parent_path())) {
+      EXPECT_NE(entry.path().filename().string().rfind(tmp_prefix, 0), 0u)
+          << "leftover temp file " << entry.path();
+    }
   }
-  EXPECT_EQ(ReadAll(path_), before);
-  auto reopened = LoadBellwetherState(path_, subsets_);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  const std::filesystem::path target(path_);
-  const std::string tmp_prefix = target.filename().string() + ".tmp";
-  for (const auto& entry :
-       std::filesystem::directory_iterator(target.parent_path())) {
-    EXPECT_NE(entry.path().filename().string().rfind(tmp_prefix, 0), 0u)
-        << "leftover temp file " << entry.path();
-  }
+  std::remove(tree_path.c_str());
+  std::remove(cube_path.c_str());
 }
 
 }  // namespace

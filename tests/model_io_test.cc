@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "core/bellwether_cube.h"
 #include "core/bellwether_tree.h"
@@ -12,6 +15,12 @@
 
 namespace bellwether::core {
 namespace {
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
 
 datagen::SimulationDataset MakeSim(uint64_t seed) {
   datagen::SimulationConfig config;
@@ -49,16 +58,11 @@ TEST(ModelIoTest, TreeRoundTripPreservesPredictions) {
       EXPECT_DOUBLE_EQ(*a, *b);
     }
   }
-  std::remove(path.c_str());
-}
-
-TEST(ModelIoTest, TreeLoadValidatesChildren) {
-  const std::string path = TestTempPath("tree_bad.bwt");
-  FILE* f = fopen(path.c_str(), "w");
-  fputs("bellwether-tree-v2\n0\n1\n0 5 1 3 0 1.0 0.0\n1 1\n-1 0 0 2\n1 99\n",
-        f);
-  fclose(f);
-  EXPECT_FALSE(LoadBellwetherTree(path, table::Table()).ok());
+  // Re-saving the loaded tree writes the same bytes.
+  const std::string again = TestTempPath("tree_again.bwt");
+  ASSERT_TRUE(SaveBellwetherTree(*back, again).ok());
+  EXPECT_EQ(ReadAll(again), ReadAll(path));
+  std::remove(again.c_str());
   std::remove(path.c_str());
 }
 
@@ -93,6 +97,10 @@ TEST(ModelIoTest, CubeRoundTripPreservesPredictions) {
       EXPECT_EQ(a->subset, b->subset);
     }
   }
+  const std::string again = TestTempPath("cube_again.bwc");
+  ASSERT_TRUE(SaveBellwetherCube(*back, again).ok());
+  EXPECT_EQ(ReadAll(again), ReadAll(path));
+  std::remove(again.c_str());
   std::remove(path.c_str());
 }
 
