@@ -4,6 +4,8 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/bellwether_cube.h"
 #include "core/bellwether_tree.h"
@@ -63,6 +65,33 @@ TEST(ModelIoTest, TreeRoundTripPreservesPredictions) {
   ASSERT_TRUE(SaveBellwetherTree(*back, again).ok());
   EXPECT_EQ(ReadAll(again), ReadAll(path));
   std::remove(again.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(ModelIoTest, TreeLoadValidatesChildren) {
+  // The writer does not validate, so a child index past the last node
+  // reaches the file and the loader has to reject it.
+  datagen::SimulationDataset sim = MakeSim(71);
+  storage::MemoryTrainingData source(sim.sets);
+  TreeBuildConfig config;
+  config.split_columns = sim.feature_columns;
+  config.min_items = 40;
+  config.max_depth = 3;
+  config.min_examples_per_model = 10;
+  auto tree = BuildBellwetherTreeRainForest(&source, sim.items, config);
+  ASSERT_TRUE(tree.ok());
+  std::vector<TreeNode> nodes = tree->nodes();
+  ASSERT_FALSE(nodes[0].children.empty());
+  ASSERT_LT(nodes.size(), 99u);
+  nodes[0].children.back() = 99;
+  auto feats = ItemSplitFeatures::Create(sim.items, sim.feature_columns);
+  ASSERT_TRUE(feats.ok()) << feats.status().ToString();
+  const std::string path = TestTempPath("tree_bad.bwt");
+  ASSERT_TRUE(
+      SaveBellwetherTree(BellwetherTree(*feats, std::move(nodes)), path).ok());
+  auto back = LoadBellwetherTree(path, sim.items);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 
